@@ -19,12 +19,11 @@ in cap.py.
 
 from itertools import combinations, product
 
-from .complexes import ChainMap, InducedMap, PresentedComplex
-from .intersection import cochain_complex
+from .complexes import ChainMap
+from .intersection import (PerverseSubcomplex, cochain_complex, inclusion_map,
+                           perverse_basis)
 from .matrices import Matrix
 from .rings import ZZ, ZmodRing
-from .snf import (hermite_column_form, hermite_solve, hermite_solve_vector,
-                  integer_kernel, smith_normal_form, solve_matrix)
 
 
 def cone_faces(part):
@@ -223,22 +222,10 @@ class LocalBlowup:
         """Hermite basis over Z of the degree-k perversity-p subcomplex,
         in full tuple coordinates: allowable cochains with allowable
         coboundary."""
-        nk = self.dim(k)
-        cols = self.allowable_indices(k, p)
-        if not cols:
-            return Matrix(ZZ, nk, 0)
         good_up = set(self.allowable_indices(k + 1, p))
         bad = [i for i in range(self.dim(k + 1)) if i not in good_up]
-        if not bad:
-            ker = Matrix.identity(ZZ, len(cols))
-        else:
-            ker = integer_kernel(self.differential(k).submatrix(bad, cols))
-        rows = {}
-        for jj, j in enumerate(cols):
-            r = ker.rows.get(jj)
-            if r:
-                rows[j] = dict(r)
-        return hermite_column_form(Matrix(ZZ, nk, ker.ncols, rows))
+        return perverse_basis(ZZ, self.differential(k), self.dim(k),
+                              self.allowable_indices(k, p), bad)
 
     def cochain_embedding_matrix(self, k):
         """Images of the dual face cochains, over Z; returns (matrix, faces)
@@ -347,102 +334,6 @@ class BlowupComplex:
         return M
 
 
-class TWComplex:
-    """Perversity-bounded subcomplex of the blown-up cochains, based.
-
-    Stored like any chain complex but at negated degrees, so the
-    coboundary still lowers; cohomology(k) is homology(-k)."""
-
-    def __init__(self, blowup, p, ring):
-        if isinstance(ring, ZmodRing) and not ring.is_field:
-            raise ValueError("blown-up complexes need integer or field "
-                             "coefficients")
-        if p.n != blowup.space.n:
-            raise ValueError("perversity depth does not match the filtration")
-        self.blowup = blowup
-        self.space = blowup.space
-        self.perversity = p
-        self.ring = ring
-        self.top = blowup.top
-        self.bases = {}
-        self._snf_cache = {}
-        for k in range(self.top + 1):
-            nk = blowup.dim(k)
-            cols = blowup.allowable_indices(k, p)
-            if not cols:
-                self.bases[k] = Matrix(ring, nk, 0)
-                continue
-            good_up = set(blowup.allowable_indices(k + 1, p))
-            bad = [i for i in range(blowup.dim(k + 1)) if i not in good_up]
-            if not bad:
-                ker = Matrix.identity(ring, len(cols))
-            elif ring is ZZ:
-                ker = integer_kernel(blowup.differential(k).submatrix(bad, cols))
-            else:
-                sub = blowup.differential(k).submatrix(bad, cols).map_ring(ring)
-                kb = smith_normal_form(sub, transforms=("V",)).kernel_basis()
-                ker = Matrix.from_columns(ring, len(cols), kb)
-            rows = {}
-            for jj, j in enumerate(cols):
-                r = ker.rows.get(jj)
-                if r:
-                    rows[j] = dict(r)
-            B = Matrix(ring, nk, ker.ncols, rows)
-            if ring is ZZ:
-                B = hermite_column_form(B)
-            self.bases[k] = B
-        dims = {-k: B.ncols for k, B in self.bases.items()}
-        boundaries = {}
-        for k in range(self.top):
-            if self.bases[k].ncols and self.bases[k + 1].ncols:
-                image = blowup.differential(k).map_ring(ring) @ self.bases[k]
-                Dk = self._solve_basis(k + 1, image)
-                if Dk is None:
-                    raise AssertionError("coboundary left the perverse subcomplex")
-                if not Dk.is_zero():
-                    boundaries[-k] = Dk
-        self.complex = PresentedComplex(ring, dims, boundaries, check=True)
-
-    def _solve_basis(self, k, image):
-        if self.ring is ZZ:
-            return hermite_solve(self.bases[k], image)
-        return solve_matrix(self._basis_snf(k), image)
-
-    def _basis_snf(self, k):
-        res = self._snf_cache.get(k)
-        if res is None:
-            res = smith_normal_form(self.bases[k], transforms=("U", "V"))
-            self._snf_cache[k] = res
-        return res
-
-    def rank(self, k):
-        B = self.bases.get(k)
-        return B.ncols if B is not None else 0
-
-    def cohomology(self, k):
-        return self.complex.homology(-k)
-
-    def full_from_internal(self, k, vec):
-        return self.bases[k] @ vec
-
-    def internal_from_full(self, k, cochain):
-        """Coordinates of a full tuple-space cochain in the stored basis;
-        None if it does not lie in the subcomplex."""
-        if self.ring is ZZ:
-            return hermite_solve_vector(self.bases[k], cochain)
-        return self._basis_snf(k).solve(dict(cochain))
-
-    def generator_cochains(self, k):
-        group = self.cohomology(k)
-        return [self.full_from_internal(k, rep) for rep in group.reps]
-
-    def class_coords(self, k, cochain):
-        vec = self.internal_from_full(k, cochain)
-        if vec is None:
-            raise ValueError("cochain is not in the perverse subcomplex")
-        return self.cohomology(k).coords(vec)
-
-
 def blowup_complex(space):
     B = space.cache.get(("blowup",))
     if B is None:
@@ -451,15 +342,27 @@ def blowup_complex(space):
 
 
 def tw_complex(space, p, ring):
+    """Perversity-bounded subcomplex of the blown-up cochains, based.
+
+    Its homology(k) is the blown-up cohomology in degree k, stored in
+    its complex at degree -k."""
     key = ("tw", p.values, ring.name)
     T = space.cache.get(key)
     if T is None:
-        T = space.cache[key] = TWComplex(blowup_complex(space), p, ring)
+        if isinstance(ring, ZmodRing) and not ring.is_field:
+            raise ValueError("blown-up complexes need integer or field "
+                             "coefficients")
+        if p.n != space.n:
+            raise ValueError("perversity depth does not match the filtration")
+        B = blowup_complex(space)
+        T = space.cache[key] = PerverseSubcomplex(
+            ring, B.top, B.dim, B.differential,
+            lambda k: B.allowable_indices(k, p), 1)
     return T
 
 
 def tw_cohomology(space, p, ring, k):
-    return tw_complex(space, p, ring).cohomology(k)
+    return tw_complex(space, p, ring).homology(k)
 
 
 def tw_comparison(space, p, q, ring, k):
@@ -467,17 +370,8 @@ def tw_comparison(space, p, q, ring, k):
     subcomplex into the perversity-q one, for p <= q."""
     if not p <= q:
         raise ValueError("comparison map needs a pointwise smaller source")
-    src = tw_complex(space, p, ring)
-    dst = tw_complex(space, q, ring)
-    cols = []
-    for j in range(src.rank(k)):
-        full = src.full_from_internal(k, {j: ring.one})
-        col = dst.internal_from_full(k, full)
-        if col is None:
-            raise AssertionError("perverse subcomplexes are not nested")
-        cols.append(col)
-    T = Matrix.from_columns(ring, dst.rank(k), cols)
-    return InducedMap(src.cohomology(k), dst.cohomology(k), T)
+    return inclusion_map(tw_complex(space, p, ring),
+                         tw_complex(space, q, ring), k)
 
 
 def cochain_embedding(space, p, ring):
@@ -491,7 +385,7 @@ def cochain_embedding(space, p, ring):
         if not len(space.simplices(k)) or not tw.rank(k):
             continue
         Mk = B.embedding_matrix(k).map_ring(ring)
-        sol = tw._solve_basis(k, Mk)
+        sol = tw.solve(k, Mk)
         if sol is None:
             raise AssertionError("embedding leaves the perverse subcomplex")
         components[-k] = sol

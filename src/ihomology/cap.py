@@ -28,7 +28,7 @@ from itertools import combinations, product
 
 from .blowup import (blown_cap, blowup_complex, cochain_embedding_terms,
                      tuple_degree, tuple_flatten, tw_complex)
-from .complexes import ChainMap, InducedMap, PresentedComplex
+from .complexes import ChainMap, InducedMap
 from .filtered import builtin
 from .intersection import (cochain_complex, cohomology, comparison_map,
                            gm_cohomology, intersection_homology, is_allowable,
@@ -55,6 +55,15 @@ def duality_sign(k):
 def _check_ring(ring):
     if isinstance(ring, ZmodRing) and not ring.is_field:
         raise ValueError("duality needs integer or field coefficients")
+
+
+def _check_space(space):
+    """Refuse a space that fails a pseudomanifold check of validate()."""
+    report = space.validate()
+    if not report.valid:
+        name, witness = next((name, w) for name, w in report.failures()
+                             if name != "normality")
+        raise ValueError(f"input fails the {name} check, witness {witness}")
 
 
 # --- the blown-up cap, one simplex at a time ---
@@ -203,13 +212,6 @@ def _cap_matrices(space, ring):
     return got
 
 
-def _shifted_chain_complex(space, ring, n):
-    C = space.chain_complex(ring)
-    dims = {k - n: C.dim(k) for k in C.dims}
-    bnds = {k - n: C.boundary(k) for k in C.boundaries}
-    return PresentedComplex(ring, dims, bnds, check=False)
-
-
 def classical_duality(space, ring):
     """Cap with the fundamental class as a verified chain map from the
     cochain complex to the chain complex regraded by the top degree."""
@@ -217,13 +219,12 @@ def classical_duality(space, ring):
     got = space.cache.get(key)
     if got is None:
         _check_ring(ring)
-        n = space.n
         mats = _cap_matrices(space, ring)[0]
         comps = {}
         for k, M in mats.items():
             comps[-k] = M.scale(ring.el(-1)) if duality_sign(k) < 0 else M
         got = ChainMap(cochain_complex(space, ring),
-                       _shifted_chain_complex(space, ring, n), comps)
+                       space.chain_complex(ring).shifted(space.n), comps)
         got.verify()
         space.cache[key] = got
     return got
@@ -255,25 +256,15 @@ class DualityMap:
             Bk = self.tw.bases.get(k)
             if Bk is None or not Bk.ncols:
                 continue
-            full = blown[k] @ Bk
-            cols = full.columns()
-            internal = []
-            for j in range(full.ncols):
-                col = self.pc.internal_from_full(
-                    n - k, {i: v for i, v in cols.get(j, {}).items()})
-                if col is None:
-                    raise AssertionError("cap left the perverse complex")
-                internal.append(col)
-            T = Matrix.from_columns(ring, self.pc.rank(n - k), internal)
+            T = self.pc.solve(n - k, blown[k] @ Bk)
+            if T is None:
+                raise AssertionError("cap left the perverse complex")
             if duality_sign(k) < 0:
                 T = T.scale(ring.el(-1))
             self.matrices[k] = T
             comps[-k] = T
-        pres = self.pc.complex
-        shifted = PresentedComplex(
-            ring, {j - n: pres.dim(j) for j in pres.dims},
-            {j - n: pres.boundary(j) for j in pres.boundaries}, check=False)
-        self.chain_map = ChainMap(self.tw.complex, shifted, comps)
+        self.chain_map = ChainMap(self.tw.complex, self.pc.complex.shifted(n),
+                                  comps)
         self.chain_map.verify()
 
     def induced(self, k):
@@ -281,7 +272,7 @@ class DualityMap:
         if M is None:
             M = Matrix(self.ring, self.pc.rank(self.space.n - k),
                        self.tw.rank(k))
-        return InducedMap(self.tw.cohomology(k),
+        return InducedMap(self.tw.homology(k),
                           self.pc.homology(self.space.n - k), M)
 
     def is_isomorphism(self, k):
@@ -437,9 +428,11 @@ def verify_factorization(space, ring, perversities=None):
     classical cap.  Also checks, per perversity, that the blown-up
     duality map is an isomorphism in every degree, that the capped
     generators land in the perverse chain complex, and that the classes
-    agree across nested perversities.
+    agree across nested perversities.  Raises ValueError on a space
+    that fails validate().
     """
     _check_ring(ring)
+    _check_space(space)
     n = space.n
     if perversities is None:
         perversities = [zero(n), clip(1, n), top(n)]
@@ -499,8 +492,10 @@ def verify_factorization(space, ring, perversities=None):
 def check_zero_top(space, ring):
     """Degreewise truth table: (i) classical duality an isomorphism in
     every degree; (ii) the zero-to-top comparison an isomorphism in
-    every degree; and the equivalence of (i) and (ii)."""
+    every degree; and the equivalence of (i) and (ii).  Raises
+    ValueError on a space that fails validate()."""
     _check_ring(ring)
+    _check_space(space)
     n = space.n
     classical_duality(space, ring)
     cap_iso = [classical_duality_induced(space, ring, k).is_isomorphism()

@@ -4,7 +4,8 @@ Subcommands compute group tables (homology, ih, tw, gm, table) or run
 the verification drivers (verify factorization, verify zero-top,
 demo sigma-rp3).  Groups print as `Z^r + Z/d1 + Z/d2 ...`; a single
 requested degree prints the bare group.  Exit status: 0 on success or a
-verified report, 1 on a verification failure, 2 on invalid input.
+verified report, 1 on a verification failure, 2 on invalid input, 3 on
+a broken internal invariant.
 """
 
 import argparse
@@ -175,6 +176,9 @@ def main(argv=None):
     except (ValueError, OSError, NonOrientableError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -306,6 +306,12 @@ class PresentedComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * n for k, n in self.dims.items())
 
+    def shifted(self, n):
+        """The same complex regraded so that degree k sits at k - n."""
+        return PresentedComplex(
+            self.ring, {k - n: d for k, d in self.dims.items()},
+            {k - n: M for k, M in self.boundaries.items()}, check=False)
+
     def map_ring(self, ring):
         return PresentedComplex(
             ring, dict(self.dims),

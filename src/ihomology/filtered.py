@@ -208,16 +208,6 @@ class FilteredComplex:
         report = ValidationReport()
         report.add("stratum_order", True)
 
-        full_ok, full_witness = True, None
-        for i in range(self.n + 1):
-            allowed = {v for v in range(self.vertex_count) if self.strata[v] <= i}
-            for k, lst in self._simplices.items():
-                for s in lst:
-                    if all(v in allowed for v in s) and not self.has_simplex(s):
-                        full_ok, full_witness = False, self.simplex_names(s)
-                        break
-        report.add("fullness", full_ok, full_witness)
-
         bad = [v for v in range(self.vertex_count) if self.strata[v] == self.n - 1]
         report.add("no_codim_one", not bad,
                    self.vertex_names[bad[0]] if bad else None)
@@ -568,6 +558,14 @@ def projective_space(d, subdivisions=1):
 # --- text format ---
 
 
+def _int_field(word, lineno, what):
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {word!r} is not an "
+                         "integer") from None
+
+
 def parse_complex(text):
     """Parse the text format: dim, vertex, and facet lines; '#' comments."""
     n = None
@@ -583,11 +581,11 @@ def parse_complex(text):
         if words[0] == "dim":
             if len(words) != 2:
                 raise ValueError(f"line {lineno}: expected 'dim <n>'")
-            n = int(words[1])
+            n = _int_field(words[1], lineno, "dimension")
         elif words[0] == "vertex":
             if len(words) != 4 or words[2] != "stratum":
                 raise ValueError(f"line {lineno}: expected 'vertex <name> stratum <i>'")
-            vname, s = words[1], int(words[3])
+            vname, s = words[1], _int_field(words[3], lineno, "stratum")
             if vname in index:
                 raise ValueError(f"line {lineno}: duplicate vertex {vname!r}")
             if strata and s < strata[-1]:

@@ -7,7 +7,9 @@ consists of the chains supported on allowable simplices whose
 boundaries are again supported on allowable simplices.
 
 Over the integers and over fields these are free modules and the
-complex is presented by explicit bases.  Over Z/m with m composite the
+complex is presented by explicit bases.  The builder takes any based
+complex with an allowability predicate, so the blown-up cochains of
+blowup.py use it too.  Over Z/m with m composite the
 submodule need not be free; each homology group is then computed from
 the integer lattice of chains whose offending boundary coefficients
 vanish mod m.
@@ -43,100 +45,141 @@ def allowable_indices(K, k, p):
     return idx
 
 
-def _bad_rows(K, k, p):
-    return sorted(set(range(len(K.simplices(k))))
-                  - set(allowable_indices(K, k, p)))
+def perverse_basis(ring, D, nk, cols, bad):
+    """Basis of the chains on the columns cols whose image under D misses
+    the rows bad, in full coordinates over nk basis elements.
+
+    D is the differential out of the degree, over Z or over ring.  Over
+    Z the basis is in column-Hermite form.
+    """
+    if not cols:
+        return Matrix.zeros(ring, nk, 0)
+    if not bad:
+        ker = Matrix.identity(ring, len(cols))
+    elif ring is ZZ:
+        ker = integer_kernel(D.submatrix(bad, cols))
+    else:
+        sub = D.submatrix(bad, cols).map_ring(ring)
+        kb = smith_normal_form(sub, transforms=("V",)).kernel_basis()
+        ker = Matrix.from_columns(ring, len(cols), kb)
+    rows = {}
+    for jj, j in enumerate(cols):
+        r = ker.rows.get(jj)
+        if r:
+            rows[j] = dict(r)
+    B = Matrix(ring, nk, ker.ncols, rows)
+    return hermite_column_form(B) if ring is ZZ else B
 
 
-class PerverseComplex:
-    """The perverse chain complex of a filtered complex over a ring.
+class PerverseSubcomplex:
+    """The perverse subcomplex of a based complex over Z or a field.
 
-    Chains are addressed in two coordinate systems: 'full' vectors over
-    all k-simplices of the space, and internal presentation coordinates.
-    All public methods speak full coordinates.
+    Degree k has dim(k) basis elements, differential(k) maps it to
+    degree k + step (step -1 for chains, +1 for cochains), and
+    allowable(k) lists the allowable basis elements.  Degree k is stored
+    in `complex` at -step * k, so the presented differential lowers the
+    degree either way.  Chains are addressed in two coordinate systems:
+    'full' vectors over all basis elements, and internal coordinates in
+    `bases[k]`.  All public methods speak full coordinates.
     """
 
-    def __init__(self, K, p, ring):
-        if p.n != K.n:
-            raise ValueError("perversity length does not match the filtration")
-        self.space = K
-        self.perversity = p
+    def __init__(self, ring, top, dim, differential, allowable, step):
         self.ring = ring
-        self.top = K.top_dim()
-        self._lattice = ring.name.startswith("Z/") and not ring.is_field
-        if self._lattice:
-            self._init_lattice()
-        else:
-            self._init_based()
-
-    # --- free presentation: integers and fields ---
-
-    def _init_based(self):
-        K, p, ring = self.space, self.perversity, self.ring
-        self._snf_cache = {}
+        self.step = step
         self.bases = {}
-        for k in range(self.top + 1):
-            cols = allowable_indices(K, k, p)
-            nk = len(K.simplices(k))
-            if not cols:
-                self.bases[k] = Matrix.zeros(ring, nk, 0)
-                continue
-            bad = _bad_rows(K, k - 1, p) if k else []
-            if not bad:
-                ker = Matrix.identity(ring, len(cols))
-            elif ring is ZZ:
-                sub = K.boundary_matrix(k, ZZ).submatrix(bad, cols)
-                ker = integer_kernel(sub)
-            else:
-                sub = K.boundary_matrix(k, ring).submatrix(bad, cols)
-                kb = smith_normal_form(sub, transforms=("V",)).kernel_basis()
-                ker = Matrix.from_columns(ring, len(cols), kb)
-            rows = {}
-            for jj, j in enumerate(cols):
-                r = ker.rows.get(jj)
-                if r:
-                    rows[j] = dict(r)
-            B = Matrix(ring, nk, ker.ncols, rows)
-            if ring is ZZ:
-                B = hermite_column_form(B)
-            self.bases[k] = B
-        dims = {k: B.ncols for k, B in self.bases.items()}
+        self._snf_cache = {}
+        for k in range(top + 1):
+            good = set(allowable(k + step))
+            bad = [i for i in range(dim(k + step)) if i not in good]
+            self.bases[k] = perverse_basis(ring, differential(k), dim(k),
+                                           allowable(k), bad)
+        dims = {-step * k: B.ncols for k, B in self.bases.items()}
         boundaries = {}
-        for k in range(1, self.top + 1):
-            if dims.get(k) and dims.get(k - 1):
-                image = self.space.boundary_matrix(k, self.ring) @ self.bases[k]
-                D = self._solve_basis(k - 1, image)
-                if D is None:
-                    raise AssertionError("boundary left the perverse complex")
-                boundaries[k] = D
-        self.complex = PresentedComplex(self.ring, dims, boundaries, check=True)
+        for k in range(top + 1):
+            t = k + step
+            if 0 <= t <= top and self.rank(k) and self.rank(t):
+                D = differential(k)
+                if D.ring is not ring:
+                    D = D.map_ring(ring)
+                M = self.solve(t, D @ self.bases[k])
+                if M is None:
+                    raise AssertionError(
+                        "differential left the perverse subcomplex")
+                boundaries[-step * k] = M
+        self.complex = PresentedComplex(ring, dims, boundaries, check=True)
 
-    def _solve_basis(self, k, image):
-        if self.ring is ZZ:
-            return hermite_solve(self.bases[k], image)
-        return solve_matrix(self._basis_snf(k), image)
-
-    def _basis_snf(self, k):
+    def _snf(self, k):
         res = self._snf_cache.get(k)
         if res is None:
             res = smith_normal_form(self.bases[k], transforms=("U", "V"))
             self._snf_cache[k] = res
         return res
 
-    # --- lattice presentation: Z/m with m composite ---
+    def solve(self, k, image):
+        """Internal coordinates of the columns of image, a matrix over
+        the degree-k full basis; None if a column lies outside."""
+        if self.ring is ZZ:
+            return hermite_solve(self.bases[k], image)
+        return solve_matrix(self._snf(k), image)
 
-    def _init_lattice(self):
-        K, p = self.space, self.perversity
-        m = self.ring.m
+    def rank(self, k):
+        """Number of presentation generators in degree k."""
+        B = self.bases.get(k)
+        return B.ncols if B is not None else 0
+
+    def full_from_internal(self, k, vec):
+        """Full vector from internal presentation coordinates."""
+        return self.bases[k] @ vec
+
+    def internal_from_full(self, k, chain):
+        """Internal coordinates of a full vector; None if outside."""
+        if self.ring is ZZ:
+            return hermite_solve_vector(self.bases[k], chain)
+        return self._snf(k).solve(dict(chain))
+
+    def homology(self, k):
+        return self.complex.homology(-self.step * k)
+
+    def generator_chains(self, k):
+        """Generators of the degree-k (co)homology as full vectors."""
+        H = self.homology(k)
+        return [self.full_from_internal(k, rep) for rep in H.reps]
+
+    def class_coords(self, k, chain):
+        """(Co)homology coordinates of a full-coordinate cycle."""
+        vec = self.internal_from_full(k, chain)
+        if vec is None:
+            raise ValueError("chain is not in the perverse subcomplex")
+        return self.homology(k).coords(vec)
+
+    def class_equal(self, k, c1, c2):
+        return self.class_coords(k, c1) == self.class_coords(k, c2)
+
+
+class LatticePerverseComplex:
+    """Perverse chains over Z/m with m composite.
+
+    The submodule need not be free, so homology in degree k comes from
+    the integer lattice of allowable chains whose boundary coefficients
+    on non-allowable simplices vanish mod m.  Internal coordinates are
+    plain coordinates over the allowable simplices.
+    """
+
+    def __init__(self, K, p, ring):
+        self.space = K
+        self.ring = ring
+        m = ring.m
+        top = K.top_dim()
         self.allowable = {k: allowable_indices(K, k, p)
-                          for k in range(self.top + 1)}
+                          for k in range(top + 1)}
         self._lattice_bases = {}
-        for k in range(self.top + 1):
+        for k in range(top + 1):
             cols = self.allowable[k]
             if not cols:
                 self._lattice_bases[k] = Matrix.zeros(ZZ, 0, 0)
                 continue
-            bad = _bad_rows(K, k - 1, p) if k else []
+            good = set(self.allowable.get(k - 1, ()))
+            bad = [i for i in range(len(K.simplices(k - 1))) if i not in good]
             if not bad:
                 self._lattice_bases[k] = Matrix.identity(ZZ, len(cols))
             else:
@@ -144,7 +187,24 @@ class PerverseComplex:
                 self._lattice_bases[k] = integer_kernel_mod(sub, m)
         self._groups = {}
 
-    def _lattice_homology(self, k):
+    def rank(self, k):
+        b = self._lattice_bases.get(k)
+        return b.ncols if b is not None else 0
+
+    def full_from_internal(self, k, vec):
+        cols = self.allowable[k]
+        return {cols[i]: v for i, v in vec.items()}
+
+    def internal_from_full(self, k, chain):
+        pos = {j: i for i, j in enumerate(self.allowable.get(k, []))}
+        out = {}
+        for j, v in chain.items():
+            if j not in pos:
+                return None
+            out[pos[j]] = v
+        return out
+
+    def homology(self, k):
         H = self._groups.get(k)
         if H is not None:
             return H
@@ -171,67 +231,25 @@ class PerverseComplex:
         self._groups[k] = H
         return H
 
-    # --- common interface ---
-
-    def rank(self, k):
-        """Number of presentation generators in degree k."""
-        if self._lattice:
-            b = self._lattice_bases.get(k)
-            return b.ncols if b is not None else 0
-        return self.complex.dim(k)
-
-    def full_from_internal(self, k, vec):
-        """Full chain vector from internal presentation coordinates."""
-        if self._lattice:
-            cols = self.allowable[k]
-            return {cols[i]: v for i, v in vec.items()}
-        return self.bases[k] @ vec
-
-    def internal_from_full(self, k, chain):
-        """Internal coordinates of a full chain vector; None if outside."""
-        if self._lattice:
-            pos = {j: i for i, j in enumerate(self.allowable.get(k, []))}
-            out = {}
-            for j, v in chain.items():
-                if j not in pos:
-                    return None
-                out[pos[j]] = v
-            return out
-        if self.ring is ZZ:
-            return hermite_solve_vector(self.bases[k], chain)
-        col = solve_matrix(self._basis_snf(k),
-                           Matrix(self.ring, self.bases[k].nrows, 1,
-                                  {i: {0: v} for i, v in chain.items()}))
-        if col is None:
-            return None
-        return {i: r[0] for i, r in col.rows.items() if r.get(0)}
-
-    def homology(self, k):
-        if self._lattice:
-            return self._lattice_homology(k)
-        return self.complex.homology(k)
-
-    def generator_chains(self, k):
-        """Generators of degree-k homology as full chain vectors."""
-        H = self.homology(k)
-        return [self.full_from_internal(k, rep) for rep in H.reps]
-
-    def class_coords(self, k, chain):
-        """Homology coordinates of a full-coordinate cycle."""
-        vec = self.internal_from_full(k, chain)
-        if vec is None:
-            raise ValueError("chain is not in the perverse complex")
-        return self.homology(k).coords(vec)
-
-    def class_equal(self, k, c1, c2):
-        return self.class_coords(k, c1) == self.class_coords(k, c2)
+    generator_chains = PerverseSubcomplex.generator_chains
+    class_coords = PerverseSubcomplex.class_coords
+    class_equal = PerverseSubcomplex.class_equal
 
 
 def perverse_complex(K, p, ring):
+    """The perversity-p chain complex of K, cached on K."""
     key = ("perverse_complex", p.values, ring.name)
     C = K.cache.get(key)
     if C is None:
-        C = PerverseComplex(K, p, ring)
+        if p.n != K.n:
+            raise ValueError("perversity length does not match the filtration")
+        if ring.name.startswith("Z/") and not ring.is_field:
+            C = LatticePerverseComplex(K, p, ring)
+        else:
+            C = PerverseSubcomplex(
+                ring, K.top_dim(), lambda k: len(K.simplices(k)),
+                lambda k: K.boundary_matrix(k, ring),
+                lambda k: allowable_indices(K, k, p), -1)
         K.cache[key] = C
     return C
 
@@ -240,21 +258,26 @@ def intersection_homology(K, p, ring, k):
     return perverse_complex(K, p, ring).homology(k)
 
 
+def inclusion_map(src, dst, k):
+    """Degree-k (co)homology map induced by the inclusion of one perverse
+    subcomplex in another."""
+    ring = src.ring
+    cols = []
+    for i in range(src.rank(k)):
+        vec = dst.internal_from_full(k, src.full_from_internal(k, {i: ring.one}))
+        if vec is None:
+            raise AssertionError("perverse subcomplexes are not nested")
+        cols.append(vec)
+    T = Matrix.from_columns(ring, dst.rank(k), cols)
+    return InducedMap(src.homology(k), dst.homology(k), T)
+
+
 def comparison_map(K, p, q, ring, k):
     """Degree-k homology map induced by the inclusion for p <= q."""
     if not p <= q:
         raise ValueError("comparison map needs a pointwise smaller source")
-    src = perverse_complex(K, p, ring)
-    dst = perverse_complex(K, q, ring)
-    cols = []
-    for i in range(src.rank(k)):
-        chain = src.full_from_internal(k, {i: ring.el(1)})
-        vec = dst.internal_from_full(k, chain)
-        if vec is None:
-            raise AssertionError("perverse complexes are not nested")
-        cols.append(vec)
-    T = Matrix.from_columns(ring, dst.rank(k), cols)
-    return InducedMap(src.homology(k), dst.homology(k), T)
+    return inclusion_map(perverse_complex(K, p, ring),
+                         perverse_complex(K, q, ring), k)
 
 
 def cochain_complex(K, ring):

@@ -217,36 +217,3 @@ class Matrix:
                                          for j in range(self.ncols)) + "]"
                          for i in range(self.nrows))
         return f"Matrix({self.nrows}x{self.ncols} over {self.ring.name})\n{body}"
-
-
-def vec_add(ring, u, v):
-    out = dict(u)
-    for i, x in v.items():
-        s = ring.add(out.get(i, ring.zero), x)
-        if ring.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-def vec_sub(ring, u, v):
-    return vec_add(ring, u, vec_scale(ring, ring.el(-1), v))
-
-def vec_scale(ring, c, v):
-    if ring.is_zero(c):
-        return {}
-    return {i: ring.mul(c, x) for i, x in v.items()}
-
-def vec_from_list(ring, xs):
-    out = {}
-    for i, x in enumerate(xs):
-        v = ring.el(x)
-        if not ring.is_zero(v):
-            out[i] = v
-    return out
-
-def vec_to_list(ring, v, n):
-    out = [ring.zero] * n
-    for i, x in v.items():
-        out[i] = x
-    return out

@@ -183,6 +183,35 @@ def test_input_file(tmp_path, capsys):
     assert out == "0: Z\n1: Z\n"
 
 
+def test_verify_refuses_invalid_input(tmp_path, capsys):
+    # a triangle boundary with a codimension-one stratum at vertex a
+    path = tmp_path / "codim_one.txt"
+    path.write_text(
+        "dim 1\n"
+        "vertex a stratum 0\n"
+        "vertex b stratum 1\n"
+        "vertex c stratum 1\n"
+        "facet a b\n"
+        "facet a c\n"
+        "facet b c\n")
+    for what in ("zero-top", "factorization"):
+        code, out, err = run_cli(capsys, "verify", what, "--input", str(path))
+        assert code == 2, what
+        assert out == ""
+        assert err == "error: input fails the no_codim_one check, witness a\n"
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(space, ring):
+        raise AssertionError("differential left the perverse subcomplex")
+
+    monkeypatch.setattr("ihomology.cli.check_zero_top", broken)
+    code, out, err = run_cli(capsys, "verify", "zero-top", "--builtin", "s2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: differential left the perverse subcomplex\n"
+
+
 def test_unknown_builtin_is_rejected(capsys):
     code, _, err = run_cli(capsys, "ih", "--builtin", "nosuch")
     assert code == 2

@@ -295,6 +295,10 @@ def test_parse_complex_errors():
         parse_complex("dim 1\nvertex a stratum 1\nvertex p stratum 0\nfacet p a")
     with pytest.raises(ValueError, match="duplicate"):
         parse_complex("dim 1\nvertex a stratum 0\nvertex a stratum 1\nfacet a a")
+    with pytest.raises(ValueError, match="^line 1: dimension 'x'"):
+        parse_complex("dim x\nvertex a stratum 1\nfacet a")
+    with pytest.raises(ValueError, match="^line 2: stratum 'x'"):
+        parse_complex("dim 1\nvertex a stratum x\nfacet a")
 
 
 def test_builtin_registry():

@@ -1,6 +1,7 @@
 import pytest
 
-from ihomology.filtered import builtin, cone, simplex_sphere
+from ihomology.filtered import (builtin, cone, projective_space,
+                                simplex_sphere, suspension)
 from ihomology.intersection import (allowable_indices, cohomology,
                                     comparison_map, gm_cohomology,
                                     intersection_homology, is_allowable,
@@ -158,3 +159,14 @@ def test_class_coords_and_equality(sigma_rp3):
     doubled = {i: 2 * v for i, v in g.items()}
     assert P.class_coords(1, doubled) == (0,)
     assert P.class_equal(1, doubled, {})
+
+
+def test_comparison_map_over_composite_modulus():
+    # the lattice path of Z/4 through the shared inclusion map
+    K = suspension(projective_space(3, 1))
+    want = [("(Z/4)", "(Z/4)", True), ("Z/2", "0", False),
+            ("0", "Z/2", False), ("Z/2", "Z/2", True)]
+    for k, (src, dst, iso) in enumerate(want):
+        beta = comparison_map(K, zero(3), top(3), Zmod(4), k)
+        assert (str(beta.source), str(beta.target)) == (src, dst), k
+        assert beta.is_isomorphism() == iso, k
