@@ -1,10 +1,13 @@
 """Chain complexes of free modules and their homology, with generators.
 
 Homology is computed as a subquotient of the ambient chain module: a
-basis of cycles, the boundary columns expressed in that basis, and the
-Smith form of the result.  Over Z this gives ranks, torsion, explicit
-generating cycles, and well-defined coordinates of arbitrary cycles in
-the generators, which is what the product and duality checks need.
+basis of cycles in echelon form (the Hermite form over Z, the reduced
+column echelon form over a field), the boundary columns solved in that
+basis by forward substitution, and the Smith form of the result.  Over
+Z this gives ranks, torsion, explicit generating cycles, and
+well-defined coordinates of arbitrary cycles in the generators, which
+is what the product and duality checks need; a cycle's coordinates come
+from the same forward substitution.
 
 Over a composite Z/m the cycle module need not be free, so homology is
 computed from integer lattices instead: the lattice of mod-m cycles and
@@ -16,13 +19,15 @@ all divide m, read off from one more Smith form.
 from .matrices import Matrix
 from .rings import ZZ, IntegerRing, RationalField, ZmodRing
 from .snf import (
+    hermite_column_form,
+    hermite_solve,
     hermite_solve_mod,
+    hermite_solve_vector,
     hermite_solve_vector_mod,
     integer_kernel,
     integer_kernel_mod,
     invariant_factors,
     smith_normal_form,
-    solve_matrix,
 )
 
 
@@ -105,12 +110,16 @@ class HomologyGroup:
 
 
 def _group_from_cycles(ring, ambient_dim, Zb, B):
-    """Homology of span(Zb columns) / span(B columns) over Z or a field."""
+    """Homology of span(Zb columns) / span(B columns) over Z or a field.
+
+    Zb is a cycle basis in the echelon form of hermite_column_form, so
+    boundaries and cycles get their cycle coordinates by forward
+    substitution.
+    """
     z = Zb.ncols
     if z == 0:
         return HomologyGroup.trivial(ring, ambient_dim)
-    snfZ = smith_normal_form(Zb, transforms=("U", "V"))
-    Y = solve_matrix(snfZ, B)
+    Y = hermite_solve(Zb, B)
     if Y is None:
         raise ValueError("boundary columns do not lie in the cycle span")
     snfY = smith_normal_form(Y, transforms=("U", "Uinv"))
@@ -130,7 +139,7 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
     U_Y = snfY.U
 
     def coord_fn(v):
-        w = snfZ.solve(v)
+        w = hermite_solve_vector(Zb, v)
         if w is None:
             raise ValueError("not a cycle")
         t = U_Y @ w
@@ -152,7 +161,8 @@ def _homology_integer(bd_out, bd_in):
 
 def _homology_field(ring, bd_out, bd_in):
     snf_out = smith_normal_form(bd_out, transforms=("V",))
-    Zb = Matrix.from_columns(ring, bd_out.ncols, snf_out.kernel_basis())
+    Zb = hermite_column_form(
+        Matrix.from_columns(ring, bd_out.ncols, snf_out.kernel_basis()))
     return _group_from_cycles(ring, bd_out.ncols, Zb, bd_in)
 
 

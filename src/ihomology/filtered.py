@@ -206,8 +206,6 @@ class FilteredComplex:
 
     def validate(self):
         report = ValidationReport()
-        report.add("stratum_order", True)
-
         bad = [v for v in range(self.vertex_count) if self.strata[v] == self.n - 1]
         report.add("no_codim_one", not bad,
                    self.vertex_names[bad[0]] if bad else None)
@@ -617,12 +615,49 @@ def load_complex(path):
 
 _builtin_cache = {}
 
+# Largest builtin, in simplices, that builtin() will construct.  It
+# admits susp:sigma-rp3 (7640) and s15 (131070); s16 already needs
+# 262142.
+MAX_BUILTIN_SIMPLICES = 200_000
+
+# Estimates at or past this are reported as this; nothing that large is
+# ever built, and it keeps 2^(n+2) from growing without bound.
+_SIZE_CEILING = 2 ** 64
+
+
+def builtin_size(name):
+    """Number of simplices builtin(name) would have, worked out from the
+    name alone; estimates saturate at 2^64."""
+    if name.startswith("cone:"):
+        inner = builtin_size(name.split(":", 1)[1])
+        return min(2 * inner + 1, _SIZE_CEILING)
+    if name.startswith("susp:"):
+        inner = builtin_size(name.split(":", 1)[1])
+        return min(3 * inner + 2, _SIZE_CEILING)
+    if name == "rp3":
+        return 848  # f-vector 40/232/384/192
+    if name == "sigma-rp3":
+        return builtin_size("susp:rp3")
+    if name.startswith("s") and name[1:].isdigit():
+        n = int(name[1:])
+        return 2 ** (n + 2) - 2 if n < 62 else _SIZE_CEILING
+    raise ValueError(f"unknown builtin {name!r}")
+
 
 def builtin(name):
-    """Builtin spaces: s<n>, rp3, sigma-rp3, cone:<builtin>, susp:<builtin>."""
+    """Builtin spaces: s<n>, rp3, sigma-rp3, cone:<builtin>, susp:<builtin>.
+
+    A space whose builtin_size is over MAX_BUILTIN_SIMPLICES is refused
+    with a ValueError before anything is built.
+    """
     K = _builtin_cache.get(name)
     if K is not None:
         return K
+    size = builtin_size(name)
+    if size > MAX_BUILTIN_SIMPLICES:
+        shown = "2^64 or more" if size == _SIZE_CEILING else str(size)
+        raise ValueError(f"builtin {name!r} would have {shown} simplices, "
+                         f"over the cap of {MAX_BUILTIN_SIMPLICES}")
     if name.startswith("cone:"):
         K = cone(builtin(name.split(":", 1)[1]))
         K.name = name
@@ -635,9 +670,8 @@ def builtin(name):
     elif name == "sigma-rp3":
         K = suspension(builtin("rp3"))
         K.name = "sigma-rp3"
-    elif name.startswith("s") and name[1:].isdigit():
-        K = simplex_sphere(int(name[1:]))
     else:
-        raise ValueError(f"unknown builtin {name!r}")
+        # builtin_size has already rejected every other name
+        K = simplex_sphere(int(name[1:]))
     _builtin_cache[name] = K
     return K

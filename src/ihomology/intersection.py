@@ -19,8 +19,7 @@ from .complexes import HomologyGroup, InducedMap, PresentedComplex, homology_of
 from .matrices import Matrix
 from .rings import ZZ
 from .snf import (hermite_column_form, hermite_solve, hermite_solve_vector,
-                  integer_kernel, integer_kernel_mod, smith_normal_form,
-                  solve_matrix)
+                  integer_kernel, integer_kernel_mod, smith_normal_form)
 
 
 def is_allowable(K, simplex, p):
@@ -49,8 +48,9 @@ def perverse_basis(ring, D, nk, cols, bad):
     """Basis of the chains on the columns cols whose image under D misses
     the rows bad, in full coordinates over nk basis elements.
 
-    D is the differential out of the degree, over Z or over ring.  Over
-    Z the basis is in column-Hermite form.
+    D is the differential out of the degree, over Z or over ring.  The
+    basis is in the echelon form of hermite_column_form: column-Hermite
+    over Z, reduced column echelon over a field.
     """
     if not cols:
         return Matrix.zeros(ring, nk, 0)
@@ -67,8 +67,7 @@ def perverse_basis(ring, D, nk, cols, bad):
         r = ker.rows.get(jj)
         if r:
             rows[j] = dict(r)
-    B = Matrix(ring, nk, ker.ncols, rows)
-    return hermite_column_form(B) if ring is ZZ else B
+    return hermite_column_form(Matrix(ring, nk, ker.ncols, rows))
 
 
 class PerverseSubcomplex:
@@ -87,7 +86,6 @@ class PerverseSubcomplex:
         self.ring = ring
         self.step = step
         self.bases = {}
-        self._snf_cache = {}
         for k in range(top + 1):
             good = set(allowable(k + step))
             bad = [i for i in range(dim(k + step)) if i not in good]
@@ -108,19 +106,10 @@ class PerverseSubcomplex:
                 boundaries[-step * k] = M
         self.complex = PresentedComplex(ring, dims, boundaries, check=True)
 
-    def _snf(self, k):
-        res = self._snf_cache.get(k)
-        if res is None:
-            res = smith_normal_form(self.bases[k], transforms=("U", "V"))
-            self._snf_cache[k] = res
-        return res
-
     def solve(self, k, image):
         """Internal coordinates of the columns of image, a matrix over
         the degree-k full basis; None if a column lies outside."""
-        if self.ring is ZZ:
-            return hermite_solve(self.bases[k], image)
-        return solve_matrix(self._snf(k), image)
+        return hermite_solve(self.bases[k], image)
 
     def rank(self, k):
         """Number of presentation generators in degree k."""
@@ -133,9 +122,7 @@ class PerverseSubcomplex:
 
     def internal_from_full(self, k, chain):
         """Internal coordinates of a full vector; None if outside."""
-        if self.ring is ZZ:
-            return hermite_solve_vector(self.bases[k], chain)
-        return self._snf(k).solve(dict(chain))
+        return hermite_solve_vector(self.bases[k], chain)
 
     def homology(self, k):
         return self.complex.homology(-self.step * k)

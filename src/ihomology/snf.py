@@ -1,4 +1,4 @@
-"""Smith normal form and integer lattice utilities.
+"""Smith normal form, echelon bases and integer lattice utilities.
 
 The eliminator reduces a sparse matrix to diagonal form by invertible row
 and column operations, optionally tracking the transforms: U @ M @ V == D
@@ -9,6 +9,13 @@ so every 2x2 block used is invertible mod m.
 Pivoting prefers units and sparse rows/columns (a cheap Markowitz rule),
 which keeps fill-in tame on boundary matrices.  All choices are made by
 explicit sorted order, so results are deterministic.
+
+Bases of column spans are kept in one canonical echelon form: the
+column Hermite form over Z, the reduced column echelon form over a
+field (hermite_column_form).  A vector is written in such a basis by
+forward substitution down the pivot staircase (hermite_solve_vector),
+with no transforms.  Over a composite Z/m, spans are integer lattices
+containing m*Z^n, with their own staircase basis (hermite_basis_mod).
 """
 
 from math import gcd
@@ -388,7 +395,8 @@ class _Eliminator:
             changed = False
             for a_idx in range(self.rank):
                 da = self.rows.get(a_idx, {}).get(a_idx, R.zero)
-                if R.is_zero(da):
+                # a unit divides every later entry: nothing to fix
+                if R.is_zero(da) or R.is_unit(da):
                     continue
                 for b_idx in range(a_idx + 1, self.rank):
                     db = self.rows.get(b_idx, {}).get(b_idx, R.zero)
@@ -490,29 +498,36 @@ def solve_matrix(res, B):
 
 
 def hermite_column_form(M):
-    """Canonical basis of the integer column lattice, as matrix columns.
+    """Canonical basis of the column span of M, as matrix columns.
 
-    Column-style Hermite form: pivot rows strictly increase left to right,
-    pivots are positive, and in each pivot row the entries of the earlier
-    columns are reduced into [0, pivot).  The output depends only on the
-    lattice spanned by the input columns, which makes downstream bases
-    reproducible.
+    Over Z this is the column-style Hermite form of the lattice: pivot
+    rows strictly increase left to right, pivots are positive, and in
+    each pivot row the entries of the earlier columns are reduced into
+    [0, pivot).  Over a field the same steps give the reduced column
+    echelon form: pivots are 1 and the earlier columns vanish in each
+    pivot row.  Either way the output depends only on the span of the
+    input columns, which makes downstream bases reproducible, and each
+    column's pivot is its first nonzero entry.
     """
     R = M.ring
-    if not isinstance(R, IntegerRing):
-        raise ValueError("Hermite form is implemented over Z only")
+    if not (isinstance(R, IntegerRing) or R.is_field):
+        raise ValueError("Hermite form is implemented over Z and fields only")
+    # columns bucketed by their first nonzero row, each bucket in the
+    # order its columns arrived
+    waiting = {}
     seen = M.columns()
-    rest = [dict(seen[j]) for j in sorted(seen) if seen[j]]
+    for j in sorted(seen):
+        if seen[j]:
+            waiting.setdefault(min(seen[j]), []).append(dict(seen[j]))
     pivots = []
-    while rest:
-        i = min(min(c) for c in rest)
-        active = [c for c in rest if i in c]
-        others = [c for c in rest if i not in c]
+    while waiting:
+        i = min(waiting)
+        active = waiting.pop(i)
         c0 = active[0]
         for c in active[1:]:
             a, b = c0[i], c[i]
-            if b % a == 0:
-                _axpy(R, c, c0, -(b // a))
+            if R.divides(a, b):
+                _axpy(R, c, c0, R.neg(R.div(b, a)))
             else:
                 g, s, t, u, v = R.bezout(a, b)
                 nc0 = _combine(R, c0, c, s, t)
@@ -520,19 +535,20 @@ def hermite_column_form(M):
                 c0 = nc0
                 c.clear()
                 c.update(nc)
-            if c and i not in c:
-                others.append(c)
-        if c0[i] < 0:
-            c0 = {k: -v for k, v in c0.items()}
+            if c:
+                waiting.setdefault(min(c), []).append(c)
+        u = R.canonical_unit(c0[i])
+        if u != R.one:
+            c0 = {k: R.mul(u, v) for k, v in c0.items()}
         g = c0[i]
         for _, pc in pivots:
             e = pc.get(i)
             if e is not None:
-                q = e // g
+                # over Z, R.div is floor division: e lands in [0, g)
+                q = R.div(e, g)
                 if q:
-                    _axpy(R, pc, c0, -q)
+                    _axpy(R, pc, c0, R.neg(q))
         pivots.append((i, c0))
-        rest = [c for c in others if c]
     return Matrix.from_columns(R, M.nrows, [pc for _, pc in pivots])
 
 
@@ -633,38 +649,47 @@ def integer_kernel_mod(M, m):
     return hermite_basis_mod(cols, n, m)
 
 
-def hermite_solve_vector(B, c):
-    """Solve B x = c over Z for B in column-Hermite form; None if unsolvable.
+def _pivot_columns(B):
+    """Pivot row -> (column index, column) of B in column echelon form."""
+    return {min(col): (j, col) for j, col in B.columns().items() if col}
 
-    Forward substitution down the pivot staircase: linear in the number of
-    nonzero entries touched, no transforms needed.
+
+def hermite_solve_vector(B, c, pivots=None):
+    """Solve B x = c for B from hermite_column_form; None if unsolvable.
+
+    Forward substitution down the pivot staircase, over Z or a field:
+    the lowest row left in the residual must be a pivot row, and its
+    column clears it.  Only the residual's pivot rows are visited, and
+    no transforms are needed.  pivots is _pivot_columns(B), for callers
+    that solve many vectors against one basis.
     """
-    cols = B.columns()
+    R = B.ring
+    if pivots is None:
+        pivots = _pivot_columns(B)
     residual = dict(c)
     x = {}
-    for j in range(B.ncols):
-        col = cols.get(j)
-        if not col:
-            continue
-        r = min(col)
-        v = residual.get(r)
-        if v:
-            q, rem = divmod(v, col[r])
-            if rem:
-                return None
-            x[j] = q
-            _axpy(B.ring, residual, col, -q)
-    if residual:
-        return None
+    while residual:
+        r = min(residual)
+        hit = pivots.get(r)
+        if hit is None:
+            return None
+        j, col = hit
+        v, p = residual[r], col[r]
+        if not R.divides(p, v):
+            return None
+        q = R.div(v, p)
+        x[j] = q
+        _axpy(R, residual, col, R.neg(q))
     return x
 
 
 def hermite_solve(B, C):
     """Columnwise hermite_solve_vector; returns a matrix X with B X = C."""
+    pivots = _pivot_columns(B)
     Ccols = C.columns()
     out = []
     for j in range(C.ncols):
-        x = hermite_solve_vector(B, Ccols.get(j, {}))
+        x = hermite_solve_vector(B, Ccols.get(j, {}), pivots)
         if x is None:
             return None
         out.append(x)

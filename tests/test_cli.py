@@ -218,6 +218,21 @@ def test_unknown_builtin_is_rejected(capsys):
     assert "unknown builtin" in err
 
 
+def test_oversized_builtin_is_refused_before_building(monkeypatch, capsys):
+    def never(n):
+        raise AssertionError("the oversized sphere was built")
+
+    monkeypatch.setattr("ihomology.filtered.simplex_sphere", never)
+    code, out, err = run_cli(capsys, "homology", "--builtin", "s40")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: builtin 's40' would have 4398046511102 simplices, "
+                   "over the cap of 200000\n")
+    code, _, err = run_cli(capsys, "ih", "--builtin", "susp:cone:s40")
+    assert code == 2
+    assert f"would have {3 * (2 * (2 ** 42 - 2) + 1) + 2} simplices" in err
+
+
 def test_missing_source_is_rejected(capsys):
     code, _, err = run_cli(capsys, "homology", "--coeffs", "Z")
     assert code == 2

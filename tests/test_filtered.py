@@ -4,7 +4,8 @@ import pytest
 
 from ihomology.filtered import (FilteredComplex, NonOrientableError,
                                 antipodal_quotient, barycentric_subdivision,
-                                builtin, cone, cross_polytope_antipode,
+                                builtin, builtin_size, cone,
+                                cross_polytope_antipode,
                                 cross_polytope_boundary, parse_complex,
                                 projective_space, simplex_sphere, suspension)
 from ihomology.rings import QQ, ZZ, Zmod
@@ -309,3 +310,13 @@ def test_builtin_registry():
     assert builtin("rp3") is builtin("rp3")
     with pytest.raises(ValueError):
         builtin("nope")
+
+
+def test_builtin_size_matches_the_built_space():
+    for name in ("s0", "s3", "rp3", "sigma-rp3", "cone:s2", "susp:cone:s3"):
+        assert builtin_size(name) == sum(builtin(name).f_vector()), name
+    assert builtin_size("s40") == 2 ** 42 - 2
+    assert builtin_size("susp:s40") == 3 * (2 ** 42 - 2) + 2
+    assert builtin_size("s" + "9" * 30) == 2 ** 64
+    with pytest.raises(ValueError, match="unknown builtin"):
+        builtin_size("cone:nosuch")

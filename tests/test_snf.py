@@ -8,6 +8,8 @@ from ihomology.snf import (
     smith_normal_form,
     invariant_factors,
     hermite_column_form,
+    hermite_solve,
+    hermite_solve_vector,
     integer_kernel,
     integer_kernel_mod,
     solve_matrix,
@@ -84,6 +86,14 @@ def test_smith_over_q():
     M = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
     res = smith_normal_form(M)
     assert res.diag == [1]
+    check_transforms(M, res)
+
+
+def test_smith_mixed_unit_diagonal():
+    # the unit is skipped by the divisibility fix; 2 and 3 still merge
+    M = Matrix.from_rows(ZZ, [[2, 0, 0], [0, 3, 0], [0, 0, 1]])
+    res = smith_normal_form(M)
+    assert res.diag == [1, 1, 6]
     check_transforms(M, res)
 
 
@@ -183,6 +193,88 @@ def test_hermite_canonical():
         cols.reverse()
         H2 = hermite_column_form(Matrix.from_columns(ZZ, n, cols))
         assert H1 == H2
+
+
+def random_columns(rng, R, n, k, lo=-5, hi=6):
+    data = [[rng.randrange(lo, hi) for _ in range(k)] for _ in range(n)]
+    M = Matrix.from_rows(R, data)
+    return [M.column(j) for j in range(k)]
+
+
+def recombined(rng, R, cols):
+    """Invertible column operations on cols: shears, then reverse."""
+    cols = [dict(c) for c in cols]
+    k = len(cols)
+    for _ in range(6):
+        a = rng.randrange(k)
+        b = rng.randrange(k)
+        if a == b:
+            continue
+        c = R.el(rng.randrange(-2, 3))
+        for i, v in list(cols[b].items()):
+            w = R.add(cols[a].get(i, R.zero), R.mul(c, v))
+            if R.is_zero(w):
+                cols[a].pop(i, None)
+            else:
+                cols[a][i] = w
+    cols.reverse()
+    return cols
+
+
+@pytest.mark.parametrize("R", [QQ, Zmod(5)], ids=["Q", "Z5"])
+def test_hermite_canonical_over_fields(R):
+    # two spanning sets of one subspace give the same reduced echelon form
+    rng = random.Random(19)
+    for _ in range(20):
+        n = rng.randrange(1, 6)
+        k = rng.randrange(1, 5)
+        cols = random_columns(rng, R, n, k)
+        H1 = hermite_column_form(Matrix.from_columns(R, n, cols))
+        # a redundant extra column: the sum of two of the others
+        extra = dict(cols[0])
+        for i, v in cols[-1].items():
+            w = R.add(extra.get(i, R.zero), v)
+            if R.is_zero(w):
+                extra.pop(i, None)
+            else:
+                extra[i] = w
+        other = recombined(rng, R, cols) + [extra]
+        rng.shuffle(other)
+        H2 = hermite_column_form(Matrix.from_columns(R, n, other))
+        assert H1 == H2
+        Hc = H1.columns()
+        pivots = [min(Hc[j]) for j in range(H1.ncols)]
+        assert pivots == sorted(set(pivots))
+        for j, r in enumerate(pivots):
+            assert H1.get(r, j) == R.one
+            assert all(H1.get(r, l) == R.zero for l in range(H1.ncols) if l != j)
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(5)], ids=["Z", "Q", "Z5"])
+def test_hermite_solve_round_trip(R):
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(1, 5)
+        B = hermite_column_form(Matrix.from_columns(R, n, random_columns(rng, R, n, k)))
+        X = Matrix.from_rows(R, [[rng.randrange(-4, 5) for _ in range(3)]
+                                 for _ in range(B.ncols)], ncols=3)
+        assert hermite_solve(B, B @ X) == X
+
+
+def test_hermite_solve_vector_off_the_span():
+    # pivots in rows 0 and 1; row 2 is no pivot row
+    for R in (ZZ, QQ, Zmod(5)):
+        B = Matrix.from_columns(R, 3, [{0: R.one, 2: R.one}, {1: R.one}])
+        assert hermite_solve_vector(B, {2: R.one}) is None
+        # the residual after clearing row 0 has its lowest entry in row 2
+        assert hermite_solve_vector(B, {0: R.one}) is None
+        assert hermite_solve_vector(B, {0: R.one, 1: R.one, 2: R.one}) == {
+            0: R.one, 1: R.one}
+    # over Z the pivot must divide the residual entry
+    B = Matrix.from_columns(ZZ, 2, [{0: 2}])
+    assert hermite_solve_vector(B, {0: 1}) is None
+    assert hermite_solve_vector(B, {0: 4}) == {0: 2}
 
 
 def test_integer_kernel_sum_matrix():
