@@ -1,8 +1,9 @@
 """Chain complexes of free modules and their homology, with generators.
 
 Homology is computed as a subquotient of the ambient chain module: a
-basis of cycles in echelon form (the Hermite form over Z, the reduced
-column echelon form over a field), the boundary columns solved in that
+basis of cycles in echelon form (the Hermite form over Z, from
+integer_kernel; the reduced column echelon form over a field, from
+field_kernel's single elimination), the boundary columns solved in that
 basis by forward substitution, and the Smith form of the result.  Over
 Z this gives ranks, torsion, explicit generating cycles, and
 well-defined coordinates of arbitrary cycles in the generators, which
@@ -19,7 +20,7 @@ all divide m, read off from one more Smith form.
 from .matrices import Matrix
 from .rings import ZZ, IntegerRing, RationalField, ZmodRing
 from .snf import (
-    hermite_column_form,
+    field_kernel,
     hermite_solve,
     hermite_solve_mod,
     hermite_solve_vector,
@@ -27,6 +28,7 @@ from .snf import (
     integer_kernel,
     integer_kernel_mod,
     invariant_factors,
+    pivot_columns,
     smith_normal_form,
 )
 
@@ -137,9 +139,15 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
         reps.append(gen)
 
     U_Y = snfY.U
+    pivots = None
 
     def coord_fn(v):
-        w = hermite_solve_vector(Zb, v)
+        # the pivot map is built on the first call: homology alone never
+        # asks for coordinates
+        nonlocal pivots
+        if pivots is None:
+            pivots = pivot_columns(Zb)
+        w = hermite_solve_vector(Zb, v, pivots)
         if w is None:
             raise ValueError("not a cycle")
         t = U_Y @ w
@@ -160,10 +168,7 @@ def _homology_integer(bd_out, bd_in):
 
 
 def _homology_field(ring, bd_out, bd_in):
-    snf_out = smith_normal_form(bd_out, transforms=("V",))
-    Zb = hermite_column_form(
-        Matrix.from_columns(ring, bd_out.ncols, snf_out.kernel_basis()))
-    return _group_from_cycles(ring, bd_out.ncols, Zb, bd_in)
+    return _group_from_cycles(ring, bd_out.ncols, field_kernel(bd_out), bd_in)
 
 
 def _homology_zmod(ring, bd_out, bd_in):

@@ -18,8 +18,8 @@ vanish mod m.
 from .complexes import HomologyGroup, InducedMap, PresentedComplex, homology_of
 from .matrices import Matrix
 from .rings import ZZ
-from .snf import (hermite_column_form, hermite_solve, hermite_solve_vector,
-                  integer_kernel, integer_kernel_mod, smith_normal_form)
+from .snf import (field_kernel, hermite_solve, hermite_solve_vector,
+                  integer_kernel, integer_kernel_mod, pivot_columns)
 
 
 def is_allowable(K, simplex, p):
@@ -50,7 +50,9 @@ def perverse_basis(ring, D, nk, cols, bad):
 
     D is the differential out of the degree, over Z or over ring.  The
     basis is in the echelon form of hermite_column_form: column-Hermite
-    over Z, reduced column echelon over a field.
+    over Z, reduced column echelon over a field.  The kernel on cols
+    (integer_kernel or field_kernel) is already in that form, and cols
+    ascending keeps it so when its rows move to their full positions.
     """
     if not cols:
         return Matrix.zeros(ring, nk, 0)
@@ -59,15 +61,13 @@ def perverse_basis(ring, D, nk, cols, bad):
     elif ring is ZZ:
         ker = integer_kernel(D.submatrix(bad, cols))
     else:
-        sub = D.submatrix(bad, cols).map_ring(ring)
-        kb = smith_normal_form(sub, transforms=("V",)).kernel_basis()
-        ker = Matrix.from_columns(ring, len(cols), kb)
+        ker = field_kernel(D.submatrix(bad, cols).map_ring(ring))
     rows = {}
     for jj, j in enumerate(cols):
         r = ker.rows.get(jj)
         if r:
             rows[j] = dict(r)
-    return hermite_column_form(Matrix(ring, nk, ker.ncols, rows))
+    return Matrix(ring, nk, ker.ncols, rows)
 
 
 class PerverseSubcomplex:
@@ -86,6 +86,7 @@ class PerverseSubcomplex:
         self.ring = ring
         self.step = step
         self.bases = {}
+        self._pivots = {}
         for k in range(top + 1):
             good = set(allowable(k + step))
             bad = [i for i in range(dim(k + step)) if i not in good]
@@ -122,7 +123,10 @@ class PerverseSubcomplex:
 
     def internal_from_full(self, k, chain):
         """Internal coordinates of a full vector; None if outside."""
-        return hermite_solve_vector(self.bases[k], chain)
+        pivots = self._pivots.get(k)
+        if pivots is None:
+            pivots = self._pivots[k] = pivot_columns(self.bases[k])
+        return hermite_solve_vector(self.bases[k], chain, pivots)
 
     def homology(self, k):
         return self.complex.homology(-self.step * k)

@@ -12,9 +12,12 @@ explicit sorted order, so results are deterministic.
 
 Bases of column spans are kept in one canonical echelon form: the
 column Hermite form over Z, the reduced column echelon form over a
-field (hermite_column_form).  A vector is written in such a basis by
-forward substitution down the pivot staircase (hermite_solve_vector),
-with no transforms.  Over a composite Z/m, spans are integer lattices
+field (hermite_column_form).  Kernels come in that form: over Z from
+the Smith form's V and a Hermite pass (integer_kernel), over a field
+from one elimination pivoting at each row's rightmost column
+(field_kernel).  A vector is written in such a basis by forward
+substitution down the pivot staircase (hermite_solve_vector), with no
+transforms.  Over a composite Z/m, spans are integer lattices
 containing m*Z^n, with their own staircase basis (hermite_basis_mod).
 """
 
@@ -552,6 +555,44 @@ def hermite_column_form(M):
     return Matrix.from_columns(R, M.nrows, [pc for _, pc in pivots])
 
 
+def field_kernel(M):
+    """Reduced column echelon basis of ker(M) over a field, as columns.
+
+    One elimination, no transforms: each row is reduced at its largest
+    column while a pivot row sits there, else it becomes that column's
+    pivot row, scaled to 1.  After back-substitution each free column f
+    gives v_f = e_f - sum_c P_c[f] e_c, which starts at f with a 1 and
+    vanishes at the other free columns: the basis hermite_column_form
+    gives for ker(M), in any row order.
+    """
+    R = M.ring
+    if not R.is_field:
+        raise ValueError("field_kernel needs a field")
+    pivots = {}
+    for i in sorted(M.rows):
+        row = dict(M.rows[i])
+        while row:
+            c = max(row)
+            p = pivots.get(c)
+            if p is None:
+                inv = R.inv(row[c])
+                pivots[c] = {k: R.mul(inv, v) for k, v in row.items()}
+                break
+            _axpy(R, row, p, R.neg(row[c]))
+    for c in sorted(pivots):
+        p = pivots[c]
+        for d in [d for d in p if d != c and d in pivots]:
+            _axpy(R, p, pivots[d], R.neg(p[d]))
+    free = [f for f in range(M.ncols) if f not in pivots]
+    pos = {f: j for j, f in enumerate(free)}
+    rows = {f: {pos[f]: R.one} for f in free}
+    for c, p in pivots.items():
+        r = {pos[f]: R.neg(v) for f, v in p.items() if f != c}
+        if r:
+            rows[c] = r
+    return Matrix(R, M.ncols, len(free), rows)
+
+
 def integer_kernel(M):
     """Canonical basis of ker(M) over Z, as matrix columns."""
     res = smith_normal_form(M, transforms=("V",))
@@ -649,7 +690,7 @@ def integer_kernel_mod(M, m):
     return hermite_basis_mod(cols, n, m)
 
 
-def _pivot_columns(B):
+def pivot_columns(B):
     """Pivot row -> (column index, column) of B in column echelon form."""
     return {min(col): (j, col) for j, col in B.columns().items() if col}
 
@@ -660,12 +701,12 @@ def hermite_solve_vector(B, c, pivots=None):
     Forward substitution down the pivot staircase, over Z or a field:
     the lowest row left in the residual must be a pivot row, and its
     column clears it.  Only the residual's pivot rows are visited, and
-    no transforms are needed.  pivots is _pivot_columns(B), for callers
+    no transforms are needed.  pivots is pivot_columns(B), for callers
     that solve many vectors against one basis.
     """
     R = B.ring
     if pivots is None:
-        pivots = _pivot_columns(B)
+        pivots = pivot_columns(B)
     residual = dict(c)
     x = {}
     while residual:
@@ -685,7 +726,7 @@ def hermite_solve_vector(B, c, pivots=None):
 
 def hermite_solve(B, C):
     """Columnwise hermite_solve_vector; returns a matrix X with B X = C."""
-    pivots = _pivot_columns(B)
+    pivots = pivot_columns(B)
     Ccols = C.columns()
     out = []
     for j in range(C.ncols):

@@ -1,5 +1,7 @@
 import pytest
 
+from ihomology.blowup import tw_complex
+from ihomology.complexes import homology_type_of
 from ihomology.filtered import (builtin, cone, projective_space,
                                 simplex_sphere, suspension)
 from ihomology.intersection import (allowable_indices, cohomology,
@@ -8,6 +10,7 @@ from ihomology.intersection import (allowable_indices, cohomology,
                                     perverse_complex)
 from ihomology.perversity import Perversity, clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
+from ihomology.snf import hermite_column_form
 
 
 def test_allowability_on_suspension(sigma_rp3):
@@ -170,3 +173,26 @@ def test_comparison_map_over_composite_modulus():
         beta = comparison_map(K, zero(3), top(3), Zmod(4), k)
         assert (str(beta.source), str(beta.target)) == (src, dst), k
         assert beta.is_isomorphism() == iso, k
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(5)], ids=["Z", "Q", "Z5"])
+def test_perverse_bases_are_canonical(sigma_rp3, R):
+    # a canonical kernel placed on ascending columns is already in the
+    # echelon form of hermite_column_form, for chains and blown-up cochains
+    bases = []
+    for p in (zero(4), top(4)):
+        bases += perverse_complex(sigma_rp3, p, R).bases.values()
+    bases += tw_complex(sigma_rp3, zero(4), R).bases.values()
+    for B in bases:
+        assert hermite_column_form(B) == B
+
+
+@pytest.mark.parametrize("R", [QQ, Zmod(3)], ids=["Q", "Z3"])
+def test_perverse_homology_matches_invariant_factors(sigma_rp3, R):
+    # ranks from the invariant factors of the presented differentials, with
+    # no cycle basis and no solve, against the homology with generators
+    for p in gm_lattice(4):
+        C = perverse_complex(sigma_rp3, p, R).complex
+        for k in range(5):
+            assert C.homology(k).iso_type() == homology_type_of(
+                C.boundary(k), C.boundary(k + 1)), (p, k)

@@ -7,6 +7,7 @@ from ihomology.rings import ZZ, QQ, Zmod
 from ihomology.snf import (
     smith_normal_form,
     invariant_factors,
+    field_kernel,
     hermite_column_form,
     hermite_solve,
     hermite_solve_vector,
@@ -275,6 +276,68 @@ def test_hermite_solve_vector_off_the_span():
     B = Matrix.from_columns(ZZ, 2, [{0: 2}])
     assert hermite_solve_vector(B, {0: 1}) is None
     assert hermite_solve_vector(B, {0: 4}) == {0: 2}
+
+
+def random_field_matrix(rng, R, i):
+    """The i-th matrix of a mix: zero (empty shapes included), random of
+    random density, full rank, and a product through a narrower rank."""
+    nr, nc = rng.randrange(0, 7), rng.randrange(0, 7)
+    kind = i % 4
+    if kind == 0:
+        return Matrix.zeros(R, nr, nc)
+    if kind == 1:
+        dens = rng.random()
+        return Matrix.from_rows(R, [[rng.randrange(-4, 5) if rng.random() < dens
+                                     else 0 for _ in range(nc)]
+                                    for _ in range(nr)], ncols=nc)
+    if kind == 2:
+        # full rank: a shuffled partial identity, any further rows random,
+        # then invertible row shears
+        r = min(nr, nc)
+        pick = rng.sample(range(nc), r)
+        rows = [[int(j == pick[i]) for j in range(nc)] if i < r
+                else [rng.randrange(-3, 4) for _ in range(nc)]
+                for i in range(nr)]
+        M = Matrix.from_rows(R, rows, ncols=nc)
+        for _ in range(8 if nr else 0):
+            a, b = rng.randrange(nr), rng.randrange(nr)
+            if a != b:
+                c = R.el(rng.randrange(-2, 3))
+                for j, v in list(M.rows.get(b, {}).items()):
+                    M.set(a, j, R.add(M.get(a, j), R.mul(c, v)))
+        return M
+    r = rng.randrange(0, max(min(nr, nc), 1))
+    A = Matrix.from_rows(R, [[rng.randrange(-3, 4) for _ in range(r)]
+                             for _ in range(nr)], ncols=r)
+    B = Matrix.from_rows(R, [[rng.randrange(-3, 4) for _ in range(nc)]
+                             for _ in range(r)], ncols=nc)
+    return A @ B
+
+
+@pytest.mark.parametrize("R", [QQ, Zmod(2), Zmod(5)], ids=["Q", "Z2", "Z5"])
+def test_field_kernel_is_the_reduced_echelon_kernel(R):
+    # one right-to-left elimination gives the basis that the Smith kernel
+    # columns reach through hermite_column_form
+    rng = random.Random(37)
+    for i in range(1000):
+        M = random_field_matrix(rng, R, i)
+        K = field_kernel(M)
+        smith = smith_normal_form(M, transforms=("V",))
+        want = hermite_column_form(
+            Matrix.from_columns(R, M.ncols, smith.kernel_basis()))
+        assert K == want, M
+        assert K.ncols == M.ncols - smith.rank
+        assert (M @ K).is_zero()
+        if i % 4 == 2:
+            assert smith.rank == min(M.nrows, M.ncols)
+        if i % 4 == 3:
+            assert smith.rank < max(min(M.nrows, M.ncols), 1)
+
+
+def test_field_kernel_needs_a_field():
+    for R in (ZZ, Zmod(6)):
+        with pytest.raises(ValueError):
+            field_kernel(Matrix.from_rows(R, [[1, 2]]))
 
 
 def test_integer_kernel_sum_matrix():
