@@ -57,13 +57,12 @@ def _check_ring(ring):
         raise ValueError("duality needs integer or field coefficients")
 
 
-def _check_space(space):
-    """Refuse a space that fails a pseudomanifold check of validate()."""
-    report = space.validate()
-    if not report.valid:
-        name, witness = next((name, w) for name, w in report.failures()
-                             if name != "normality")
-        raise ValueError(f"input fails the {name} check, witness {witness}")
+def _check_space(space, normal=False):
+    """Refuse a space that fails a pseudomanifold check of validate(),
+    or, when normal is set, its normality check."""
+    for name, witness in space.validate().failures():
+        if normal or name != "normality":
+            raise ValueError(f"input fails the {name} check, witness {witness}")
 
 
 # --- the blown-up cap, one simplex at a time ---
@@ -492,10 +491,11 @@ def verify_factorization(space, ring, perversities=None):
 def check_zero_top(space, ring):
     """Degreewise truth table: (i) classical duality an isomorphism in
     every degree; (ii) the zero-to-top comparison an isomorphism in
-    every degree; and the equivalence of (i) and (ii).  Raises
-    ValueError on a space that fails validate()."""
+    every degree; and the equivalence of (i) and (ii).  The equivalence
+    is stated for normal pseudomanifolds, so this raises ValueError on
+    a space that fails validate(), normality included."""
     _check_ring(ring)
-    _check_space(space)
+    _check_space(space, normal=True)
     n = space.n
     classical_duality(space, ring)
     cap_iso = [classical_duality_induced(space, ring, k).is_isomorphism()

@@ -1,33 +1,28 @@
 """Chain complexes of free modules and their homology, with generators.
 
 Homology is computed as a subquotient of the ambient chain module: a
-basis of cycles in echelon form (the Hermite form over Z, from
-integer_kernel; the reduced column echelon form over a field, from
-field_kernel's single elimination), the boundary columns solved in that
-basis by forward substitution, and the Smith form of the result.  Over
-Z this gives ranks, torsion, explicit generating cycles, and
-well-defined coordinates of arbitrary cycles in the generators, which
-is what the product and duality checks need; a cycle's coordinates come
-from the same forward substitution.
+basis of cycles in the canonical echelon form of snf.kernel (the
+Hermite form over Z, the reduced column echelon form over a field, the
+Howell form over a composite Z/m), the boundary columns solved in that
+basis by forward substitution, and the Smith form of the result.  This
+gives ranks, torsion, explicit generating cycles, and well-defined
+coordinates of arbitrary cycles in the generators, which is what the
+product and duality checks need; a cycle's coordinates come from the
+same forward substitution.
 
-Over a composite Z/m the cycle module need not be free, so homology is
-computed from integer lattices instead: the lattice of mod-m cycles and
-the lattice spanned by boundaries together with m times the ambient
-basis.  Their quotient is a finite abelian group whose invariant factors
-all divide m, read off from one more Smith form.
+Over a composite Z/m the cycle module need not be free, so the
+relations among the cycle generators (the kernel of the cycle basis)
+join the boundary coordinates before the Smith form; the invariant
+factors all divide m, and a free summand Z/m gets order m.
 """
 
 from .matrices import Matrix
 from .rings import ZZ, IntegerRing, RationalField, ZmodRing
 from .snf import (
-    field_kernel,
     hermite_solve,
-    hermite_solve_mod,
     hermite_solve_vector,
-    hermite_solve_vector_mod,
-    integer_kernel,
-    integer_kernel_mod,
     invariant_factors,
+    kernel,
     pivot_columns,
     smith_normal_form,
 )
@@ -112,11 +107,13 @@ class HomologyGroup:
 
 
 def _group_from_cycles(ring, ambient_dim, Zb, B):
-    """Homology of span(Zb columns) / span(B columns) over Z or a field.
+    """Homology of span(Zb columns) / span(B columns).
 
-    Zb is a cycle basis in the echelon form of hermite_column_form, so
-    boundaries and cycles get their cycle coordinates by forward
-    substitution.
+    Zb is a cycle basis from kernel(), in the echelon form of
+    hermite_column_form, so boundaries and cycles get their cycle
+    coordinates by forward substitution.  Over a composite Z/m,
+    kernel(Zb) holds the relations among the cycle generators, and a
+    zero diagonal entry of the Smith form gives order m.
     """
     z = Zb.ncols
     if z == 0:
@@ -124,6 +121,10 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
     Y = hermite_solve(Zb, B)
     if Y is None:
         raise ValueError("boundary columns do not lie in the cycle span")
+    free = 0
+    if isinstance(ring, ZmodRing) and not ring.is_field:
+        Y = Y.hstack(kernel(Zb))
+        free = ring.m
     snfY = smith_normal_form(Y, transforms=("U", "Uinv"))
     orders_raw = list(snfY.diag) + [0] * (z - snfY.rank)
     Uinv_cols = snfY.Uinv.columns()
@@ -135,7 +136,7 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
             continue
         gen = Zb @ dict(Uinv_cols.get(i, {}))
         keep.append(i)
-        orders.append(0 if d == 0 else d)
+        orders.append(d if d else free)
         reps.append(gen)
 
     U_Y = snfY.U
@@ -162,67 +163,6 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
     return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn)
 
 
-def _homology_integer(bd_out, bd_in):
-    Zb = integer_kernel(bd_out)
-    return _group_from_cycles(ZZ, bd_out.ncols, Zb, bd_in)
-
-
-def _homology_field(ring, bd_out, bd_in):
-    return _group_from_cycles(ring, bd_out.ncols, field_kernel(bd_out), bd_in)
-
-
-def _homology_zmod(ring, bd_out, bd_in):
-    """Cycles and the quotient are handled through integer lattices.
-
-    The cycle lattice K = {x : bd_out x == 0 mod m} contains m*Z^n, so its
-    staircase basis and every solve against it stay reduced mod m; the
-    quotient by boundaries and m*Z^n is presented by a matrix over Z/m.
-    """
-    m = ring.m
-    n = bd_out.ncols
-    if n == 0:
-        return HomologyGroup.trivial(ring, 0)
-    lift_out = bd_out.map_ring(ZZ)
-    lift_in = bd_in.map_ring(ZZ)
-    K = integer_kernel_mod(lift_out, m)
-    Yb = hermite_solve_mod(K, lift_in, m)
-    if Yb is None:
-        raise ValueError("boundary lattice escapes the cycle lattice")
-    # relations: boundary preimages plus W = {y : K y == 0 mod m}, the
-    # coordinate lattice of m*Z^n inside the cycles; a congruence solve of
-    # a boundary column is off from the true preimage only by W
-    W = integer_kernel_mod(K, m)
-    Y = Yb.hstack(W)
-    snfY = smith_normal_form(Y.map_ring(ring), transforms=("U", "Uinv"))
-    Uinv_cols = snfY.Uinv.columns()
-    keep = []
-    orders = []
-    reps = []
-    for i in range(n):
-        d = snfY.diag[i] if i < snfY.rank else 0
-        order = d if d else m
-        if order == 1:
-            continue
-        if m % order:
-            raise ValueError(f"invariant factor {order} does not divide {m}")
-        gen = K @ {k: int(v) for k, v in Uinv_cols.get(i, {}).items()}
-        keep.append(i)
-        orders.append(order)
-        reps.append({k: v % m for k, v in gen.items() if v % m})
-
-    U_Y = snfY.U
-
-    def coord_fn(v):
-        lift = {k: int(x) for k, x in v.items()}
-        w = hermite_solve_vector_mod(K, lift, m)
-        if w is None:
-            raise ValueError("not a cycle mod m")
-        t = U_Y @ {k: x % m for k, x in w.items() if x % m}
-        return tuple(t.get(i, 0) % d for i, d in zip(keep, orders))
-
-    return HomologyGroup(ring, n, orders, reps, coord_fn)
-
-
 def homology_of(bd_out, bd_in):
     """Homology ker(bd_out)/im(bd_in) with generators.
 
@@ -230,16 +170,9 @@ def homology_of(bd_out, bd_in):
     must share a ring, and bd_out.ncols == bd_in.nrows is the ambient
     dimension.
     """
-    ring = bd_out.ring
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    if isinstance(ring, IntegerRing):
-        return _homology_integer(bd_out, bd_in)
-    if ring.is_field:
-        return _homology_field(ring, bd_out, bd_in)
-    if isinstance(ring, ZmodRing):
-        return _homology_zmod(ring, bd_out, bd_in)
-    raise ValueError(f"homology over {ring.name} is not supported")
+    return _group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
 
 
 def homology_type_of(bd_out, bd_in):
@@ -280,7 +213,6 @@ class PresentedComplex:
             if not M.is_zero():
                 self.boundaries[k] = M
         self._homology = {}
-        self._homology_type = {}
         if check:
             for k in list(self.boundaries):
                 if (k - 1) in self.boundaries:
@@ -306,17 +238,6 @@ class PresentedComplex:
             else:
                 self._homology[k] = homology_of(self.boundary(k), self.boundary(k + 1))
         return self._homology[k]
-
-    def homology_type(self, k):
-        if k in self._homology:
-            return self._homology[k].iso_type()
-        if k not in self._homology_type:
-            if self.dim(k) == 0:
-                self._homology_type[k] = (0, ())
-            else:
-                self._homology_type[k] = homology_type_of(
-                    self.boundary(k), self.boundary(k + 1))
-        return self._homology_type[k]
 
     def euler_characteristic(self):
         return sum((-1) ** k * n for k, n in self.dims.items())
@@ -400,7 +321,3 @@ class InducedMap:
         """
         return (self.source.iso_type() == self.target.iso_type()
                 and self.is_surjective())
-
-    def matrix_on_generators(self):
-        """Columns are coordinates of the images of the source generators."""
-        return [tuple(c) for c in self.image_coords]

@@ -9,17 +9,15 @@ boundaries are again supported on allowable simplices.
 Over the integers and over fields these are free modules and the
 complex is presented by explicit bases.  The builder takes any based
 complex with an allowability predicate, so the blown-up cochains of
-blowup.py use it too.  Over Z/m with m composite the
-submodule need not be free; each homology group is then computed from
-the integer lattice of chains whose offending boundary coefficients
-vanish mod m.
+blowup.py use it too.  Over Z/m with m composite the submodule need
+not be free, and its Howell basis does not present a chain complex;
+each homology group is then computed over the allowable simplices, as
+cycles modulo the image of the next degree's Howell basis.
 """
 
 from .complexes import HomologyGroup, InducedMap, PresentedComplex, homology_of
 from .matrices import Matrix
-from .rings import ZZ
-from .snf import (field_kernel, hermite_solve, hermite_solve_vector,
-                  integer_kernel, integer_kernel_mod, pivot_columns)
+from .snf import hermite_solve, hermite_solve_vector, kernel, pivot_columns
 
 
 def is_allowable(K, simplex, p):
@@ -50,18 +48,18 @@ def perverse_basis(ring, D, nk, cols, bad):
 
     D is the differential out of the degree, over Z or over ring.  The
     basis is in the echelon form of hermite_column_form: column-Hermite
-    over Z, reduced column echelon over a field.  The kernel on cols
-    (integer_kernel or field_kernel) is already in that form, and cols
-    ascending keeps it so when its rows move to their full positions.
+    over Z, reduced column echelon over a field, Howell over a
+    composite Z/m.  The kernel on cols is already in that form, and
+    cols ascending keeps it so when its rows move to their full
+    positions.
     """
     if not cols:
         return Matrix.zeros(ring, nk, 0)
     if not bad:
         ker = Matrix.identity(ring, len(cols))
-    elif ring is ZZ:
-        ker = integer_kernel(D.submatrix(bad, cols))
     else:
-        ker = field_kernel(D.submatrix(bad, cols).map_ring(ring))
+        sub = D.submatrix(bad, cols)
+        ker = kernel(sub if sub.ring is ring else sub.map_ring(ring))
     rows = {}
     for jj, j in enumerate(cols):
         r = ker.rows.get(jj)
@@ -150,37 +148,22 @@ class PerverseSubcomplex:
 class LatticePerverseComplex:
     """Perverse chains over Z/m with m composite.
 
-    The submodule need not be free, so homology in degree k comes from
-    the integer lattice of allowable chains whose boundary coefficients
-    on non-allowable simplices vanish mod m.  Internal coordinates are
-    plain coordinates over the allowable simplices.
+    The submodule need not be free, so a basis of it does not present a
+    chain complex.  Homology in degree k is computed over the allowable
+    k-simplices instead: the cycles there, modulo the image of the
+    degree-(k+1) perverse basis from perverse_basis.  Internal
+    coordinates are plain coordinates over the allowable simplices.
     """
 
     def __init__(self, K, p, ring):
         self.space = K
         self.ring = ring
-        m = ring.m
-        top = K.top_dim()
         self.allowable = {k: allowable_indices(K, k, p)
-                          for k in range(top + 1)}
-        self._lattice_bases = {}
-        for k in range(top + 1):
-            cols = self.allowable[k]
-            if not cols:
-                self._lattice_bases[k] = Matrix.zeros(ZZ, 0, 0)
-                continue
-            good = set(self.allowable.get(k - 1, ()))
-            bad = [i for i in range(len(K.simplices(k - 1))) if i not in good]
-            if not bad:
-                self._lattice_bases[k] = Matrix.identity(ZZ, len(cols))
-            else:
-                sub = K.boundary_matrix(k, ZZ).submatrix(bad, cols)
-                self._lattice_bases[k] = integer_kernel_mod(sub, m)
+                          for k in range(K.top_dim() + 1)}
         self._groups = {}
 
     def rank(self, k):
-        b = self._lattice_bases.get(k)
-        return b.ncols if b is not None else 0
+        return len(self.allowable.get(k, ()))
 
     def full_from_internal(self, k, vec):
         cols = self.allowable[k]
@@ -199,25 +182,26 @@ class LatticePerverseComplex:
         H = self._groups.get(k)
         if H is not None:
             return H
-        K = self.space
+        K, ring = self.space, self.ring
         cols = self.allowable.get(k, [])
         if not cols:
-            H = HomologyGroup.trivial(self.ring)
+            H = HomologyGroup.trivial(ring)
             self._groups[k] = H
             return H
         # cycles: kernel of the unrestricted boundary on allowable chains
         all_rows = list(range(len(K.simplices(k - 1)))) if k else []
-        out = K.boundary_matrix(k, self.ring).submatrix(all_rows, cols)
-        # boundaries: images of the degree k+1 lattice, in allowable coords
+        out = K.boundary_matrix(k, ring).submatrix(all_rows, cols)
+        # boundaries: images of the degree-(k+1) perverse basis, which
+        # miss the non-allowable k-simplices
         up = self.allowable.get(k + 1, [])
         if up:
-            Kup = self._lattice_bases[k + 1]
-            cols_up = list(range(Kup.ncols))
-            full = K.boundary_matrix(k + 1, ZZ).submatrix(
-                list(range(len(K.simplices(k)))), up) @ Kup
-            inn = full.submatrix(cols, cols_up).map_ring(self.ring)
+            D = K.boundary_matrix(k + 1, ring)
+            good = set(cols)
+            bad = [i for i in range(len(K.simplices(k))) if i not in good]
+            B = perverse_basis(ring, D, len(K.simplices(k + 1)), up, bad)
+            inn = (D @ B).submatrix(cols, range(B.ncols))
         else:
-            inn = Matrix.zeros(self.ring, len(cols), 0)
+            inn = Matrix.zeros(ring, len(cols), 0)
         H = homology_of(out, inn)
         self._groups[k] = H
         return H

@@ -1,4 +1,4 @@
-"""Smith normal form, echelon bases and integer lattice utilities.
+"""Smith normal form, echelon bases, kernels and echelon solves.
 
 The eliminator reduces a sparse matrix to diagonal form by invertible row
 and column operations, optionally tracking the transforms: U @ M @ V == D
@@ -10,21 +10,21 @@ Pivoting prefers units and sparse rows/columns (a cheap Markowitz rule),
 which keeps fill-in tame on boundary matrices.  All choices are made by
 explicit sorted order, so results are deterministic.
 
-Bases of column spans are kept in one canonical echelon form: the
-column Hermite form over Z, the reduced column echelon form over a
-field (hermite_column_form).  Kernels come in that form: over Z from
-the Smith form's V and a Hermite pass (integer_kernel), over a field
-from one elimination pivoting at each row's rightmost column
-(field_kernel).  A vector is written in such a basis by forward
-substitution down the pivot staircase (hermite_solve_vector), with no
-transforms.  Over a composite Z/m, spans are integer lattices
-containing m*Z^n, with their own staircase basis (hermite_basis_mod).
+Bases of column spans are kept in one canonical echelon form
+(hermite_column_form): the column Hermite form over Z, the reduced
+column echelon form over a field, and the Howell form over a composite
+Z/m, whose pivots divide m and whose columns pivoting at or below any
+row span every vector of the span that vanishes above it.  Kernels come
+in that form (kernel): over Z from the Smith form's V and a Hermite
+pass (integer_kernel), over a field from one elimination pivoting at
+each row's rightmost column (field_kernel), over a composite Z/m from
+the Howell form of M stacked on the identity.  A vector is written in
+such a basis by forward substitution down the pivot staircase
+(hermite_solve_vector), with no transforms, over every ring.
 """
 
-from math import gcd
-
 from .matrices import Matrix
-from .rings import ZZ, IntegerRing, ZmodRing, xgcd
+from .rings import IntegerRing, ZmodRing
 
 
 def _axpy(R, dst, src, c):
@@ -103,7 +103,7 @@ class SNFResult:
         """Sparse columns spanning ker M.  Valid over Z and over fields."""
         R = self.ring
         if isinstance(R, ZmodRing) and not R.is_field:
-            raise ValueError("kernel over composite Z/m goes through integer lattices")
+            raise ValueError("kernel over composite Z/m goes through kernel()")
         Vc = self.V.columns()
         return [dict(Vc.get(j, {})) for j in range(self.rank, self.ncols)]
 
@@ -508,13 +508,16 @@ def hermite_column_form(M):
     each pivot row the entries of the earlier columns are reduced into
     [0, pivot).  Over a field the same steps give the reduced column
     echelon form: pivots are 1 and the earlier columns vanish in each
-    pivot row.  Either way the output depends only on the span of the
-    input columns, which makes downstream bases reproducible, and each
-    column's pivot is its first nonzero entry.
+    pivot row.  Over a composite Z/m they give the Howell form: pivots
+    divide m, and each pivot column c with pivot g also sends
+    (m // g) * c, which vanishes at the pivot row, on to the later rows,
+    so the columns pivoting at or below any row span every vector of
+    the span that vanishes above it.  Either way the output depends
+    only on the span of the input columns, which makes downstream bases
+    reproducible, and each column's pivot is its first nonzero entry.
     """
     R = M.ring
-    if not (isinstance(R, IntegerRing) or R.is_field):
-        raise ValueError("Hermite form is implemented over Z and fields only")
+    composite = isinstance(R, ZmodRing) and not R.is_field
     # columns bucketed by their first nonzero row, each bucket in the
     # order its columns arrived
     waiting = {}
@@ -547,11 +550,17 @@ def hermite_column_form(M):
         for _, pc in pivots:
             e = pc.get(i)
             if e is not None:
-                # over Z, R.div is floor division: e lands in [0, g)
-                q = R.div(e, g)
+                # over Z and Z/m the floor quotient of the lifts puts e
+                # in [0, g); R.div is exact over Z/m, so it cannot
+                q = R.div(e, g) if R.is_field else e // g
                 if q:
                     _axpy(R, pc, c0, R.neg(q))
         pivots.append((i, c0))
+        if composite:
+            ann = {k: R.mul(R.m // g, v) for k, v in c0.items()}
+            ann = {k: v for k, v in ann.items() if v}
+            if ann:
+                waiting.setdefault(min(ann), []).append(ann)
     return Matrix.from_columns(R, M.nrows, [pc for _, pc in pivots])
 
 
@@ -602,92 +611,28 @@ def integer_kernel(M):
     return hermite_column_form(Matrix.from_columns(M.ring, M.ncols, ker))
 
 
-def hermite_basis_mod(cols, n, m):
-    """Canonical lower-triangular basis of span(cols) + m*Z^n.
+def kernel(M):
+    """Canonical basis of ker(M) over any ring, as matrix columns.
 
-    The lattice contains m*Z^n, so every entry can be kept in [0, m) and
-    the result always has one pivot per row; pivots divide m (a pivot of
-    m marks a row the columns miss entirely).  Entry growth is impossible,
-    unlike general integer Hermite elimination.
+    Over Z and fields the kernel is free (integer_kernel, field_kernel).
+    Over a composite Z/m it need not be.  There the columns of the
+    Howell form of [M; I] that pivot in the I block span every vector
+    (0, x) of the span of the (M x, x), that is every x in ker(M);
+    shifted up, they are ker(M) in Howell form.
     """
-    def reduced(c, pivot_row, pivot_val):
-        out = {k: v % m for k, v in c.items() if k != pivot_row and v % m}
-        out[pivot_row] = pivot_val
-        return out
-
-    pool = []
-    for c in cols:
-        r = {i: v % m for i, v in c.items() if v % m}
-        if r:
-            pool.append(r)
-    pivots = []
-    for i in range(n):
-        active = [c for c in pool if min(c) == i]
-        pool = [c for c in pool if min(c) != i]
-        c0 = None
-        for c in active:
-            if c0 is None:
-                c0 = c
-                continue
-            a, b = c0[i], c[i]
-            if b % a == 0:
-                _axpy(ZZ, c, c0, -(b // a))
-            else:
-                g, s, t = xgcd(a, b)
-                nc = _combine(ZZ, c0, c, -(b // g), a // g)
-                c0 = reduced(_combine(ZZ, c0, c, s, t), i, g)
-                c = nc
-            c = {k: v % m for k, v in c.items() if v % m}
-            if c:
-                pool.append(c)
-        # fold in m*e_i so the pivot divides m
-        if c0 is None:
-            piv = {i: m}
-        else:
-            a = c0[i]
-            g, s, _ = xgcd(a, m)
-            piv = c0 if g == a else reduced({k: s * v for k, v in c0.items()}, i, g)
-            rem = {k: ((m // g) * v) % m for k, v in c0.items() if k != i}
-            rem = {k: v for k, v in rem.items() if v}
-            if rem:
-                pool.append(rem)
-        # canonical reduction of earlier columns at this pivot row
-        g = piv[i]
-        for pc in pivots:
-            e = pc.get(i)
-            if e is not None and e // g:
-                _axpy(ZZ, pc, piv, -(e // g))
-                for k in list(pc):
-                    if k > i:
-                        v = pc[k] % m
-                        if v:
-                            pc[k] = v
-                        else:
-                            del pc[k]
-        pivots.append(piv)
-    return Matrix.from_columns(ZZ, n, pivots)
-
-
-def integer_kernel_mod(M, m):
-    """Canonical basis of the lattice {x in Z^n : M x == 0 mod m}.
-
-    M is an integer matrix; the lattice contains m*Z^n, so the basis is
-    always n columns in lower-triangular staircase form.
-    """
-    if not isinstance(M.ring, IntegerRing):
-        raise ValueError("integer_kernel_mod expects a matrix over Z")
-    res = smith_normal_form(M, transforms=("V",))
-    n = M.ncols
-    Vc = res.V.columns()
-    cols = []
-    for idx in range(n):
-        col = dict(Vc.get(idx, {}))
-        if idx < res.rank:
-            scale = m // gcd(res.diag[idx], m)
-            if scale != 1:
-                col = {i: scale * v for i, v in col.items()}
-        cols.append(col)
-    return hermite_basis_mod(cols, n, m)
+    R = M.ring
+    if isinstance(R, IntegerRing):
+        return integer_kernel(M)
+    if R.is_field:
+        return field_kernel(M)
+    r, n = M.nrows, M.ncols
+    rows = {i: dict(row) for i, row in M.rows.items()}
+    for j in range(n):
+        rows[r + j] = {j: R.one}
+    H = hermite_column_form(Matrix(R, r + n, n, rows))
+    Hc = H.columns()
+    return Matrix.from_columns(R, n, [{i - r: v for i, v in Hc[j].items()}
+                                      for j in range(H.ncols) if min(Hc[j]) >= r])
 
 
 def pivot_columns(B):
@@ -698,9 +643,10 @@ def pivot_columns(B):
 def hermite_solve_vector(B, c, pivots=None):
     """Solve B x = c for B from hermite_column_form; None if unsolvable.
 
-    Forward substitution down the pivot staircase, over Z or a field:
-    the lowest row left in the residual must be a pivot row, and its
-    column clears it.  Only the residual's pivot rows are visited, and
+    Forward substitution down the pivot staircase, over any ring: the
+    lowest row left in the residual must be a pivot row, and its column
+    clears it (over a composite Z/m the Howell property makes this
+    complete).  Only the residual's pivot rows are visited, and
     no transforms are needed.  pivots is pivot_columns(B), for callers
     that solve many vectors against one basis.
     """
@@ -735,44 +681,3 @@ def hermite_solve(B, C):
             return None
         out.append(x)
     return Matrix.from_columns(B.ring, B.ncols, out)
-
-
-def hermite_solve_vector_mod(B, c, m):
-    """x with B x == c modulo m*Z^n, for B from hermite_basis_mod.
-
-    The column span of B contains m*Z^n, so reducing the running residual
-    mod m only shifts the answer by a lattice element of span(B); every
-    intermediate value stays in [0, m).  Returns None when c is not in
-    span(B) + m*Z^n.
-    """
-    cols = B.columns()
-    residual = {i: v % m for i, v in c.items() if v % m}
-    x = {}
-    for j in range(B.ncols):
-        col = cols.get(j)
-        if not col:
-            continue
-        r = min(col)
-        v = residual.get(r)
-        if v:
-            q, rem = divmod(v, col[r])
-            if rem:
-                return None
-            x[j] = q
-            _axpy(ZZ, residual, col, -q)
-            residual = {i: w % m for i, w in residual.items() if w % m}
-    if residual:
-        return None
-    return x
-
-
-def hermite_solve_mod(B, C, m):
-    """Columnwise hermite_solve_vector_mod; None if any column fails."""
-    Ccols = C.columns()
-    out = []
-    for j in range(C.ncols):
-        x = hermite_solve_vector_mod(B, Ccols.get(j, {}), m)
-        if x is None:
-            return None
-        out.append(x)
-    return Matrix.from_columns(ZZ, B.ncols, out)

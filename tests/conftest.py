@@ -16,3 +16,14 @@ def rp3():
 @pytest.fixture(scope="session")
 def sigma_rp3():
     return builtin("sigma-rp3")
+
+
+@pytest.fixture(scope="session")
+def wedge_text():
+    """Two tetrahedron boundaries glued at the singular vertex p: a valid,
+    orientable, non-normal 2-pseudomanifold, in the input format."""
+    return ("dim 2\nvertex p stratum 0\n"
+            + "".join(f"vertex {v} stratum 2\n" for v in "abcdef")
+            + "".join(f"facet {f}\n" for f in (
+                "p a b", "p a c", "p b c", "a b c",
+                "p d e", "p d f", "p e f", "d e f")))

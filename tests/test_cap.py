@@ -14,7 +14,8 @@ from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
                            duality_map, duality_sign, gm_demo,
                            intersection_cap, leibniz_holds,
                            verify_factorization)
-from ihomology.intersection import perverse_complex
+from ihomology.filtered import parse_complex
+from ihomology.intersection import comparison_map, perverse_complex
 from ihomology.perversity import clip, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 
@@ -160,6 +161,22 @@ def test_zero_top_truth_table(s4, sigma_rp3):
     assert r.equivalence_ok
     assert r.cap_iso == [True, True, False, False, True]
     assert r.beta_iso == [True, False, False, True, True]
+
+
+def test_zero_top_needs_normality(wedge_text):
+    # on the non-normal wedge of two 2-spheres, (i) fails while (ii)
+    # holds: the normality hypothesis of the equivalence is needed
+    wedge = parse_complex(wedge_text)
+    assert wedge.validate().valid and not wedge.validate().normal
+    for ring in (ZZ, QQ):
+        cap_iso = [classical_duality_induced(wedge, ring, k).is_isomorphism()
+                   for k in range(3)]
+        beta_iso = [comparison_map(wedge, zero(2), top(2), ring,
+                                   j).is_isomorphism() for j in range(3)]
+        assert not all(cap_iso)
+        assert all(beta_iso)
+        with pytest.raises(ValueError, match=r"normality check, witness \('p',\)"):
+            check_zero_top(wedge, ring)
 
 
 def test_verify_factorization(s4, sigma_rp3):

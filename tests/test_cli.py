@@ -201,6 +201,23 @@ def test_verify_refuses_invalid_input(tmp_path, capsys):
         assert err == "error: input fails the no_codim_one check, witness a\n"
 
 
+def test_verify_zero_top_refuses_non_normal_input(tmp_path, capsys, wedge_text):
+    # the zero-top equivalence does not apply to a non-normal space, but
+    # the factorization does
+    path = tmp_path / "wedge.txt"
+    path.write_text(wedge_text)
+    for ring in ("Z", "Q"):
+        code, out, err = run_cli(capsys, "verify", "zero-top", "--input",
+                                 str(path), "--coeffs", ring)
+        assert code == 2, ring
+        assert out == ""
+        assert err == "error: input fails the normality check, witness ('p',)\n"
+        code, out, _ = run_cli(capsys, "verify", "factorization", "--input",
+                               str(path), "--coeffs", ring)
+        assert code == 0, ring
+        assert out.endswith("\nPASS\n")
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(space, ring):
         raise AssertionError("differential left the perverse subcomplex")

@@ -1,9 +1,11 @@
+from math import gcd
+
 import pytest
 
 from ihomology.blowup import tw_complex
 from ihomology.complexes import homology_type_of
-from ihomology.filtered import (builtin, cone, projective_space,
-                                simplex_sphere, suspension)
+from ihomology.filtered import (barycentric_subdivision, builtin, cone,
+                                projective_space, simplex_sphere, suspension)
 from ihomology.intersection import (allowable_indices, cohomology,
                                     comparison_map, gm_cohomology,
                                     intersection_homology, is_allowable,
@@ -196,3 +198,54 @@ def test_perverse_homology_matches_invariant_factors(sigma_rp3, R):
         for k in range(5):
             assert C.homology(k).iso_type() == homology_type_of(
                 C.boundary(k), C.boundary(k + 1)), (p, k)
+
+
+def primary_parts(orders):
+    """Prime-power orders of the cyclic summands of a finite group."""
+    out = []
+    for o in orders:
+        p = 2
+        while o > 1:
+            q = 1
+            while o % p == 0:
+                o //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def test_ih_mod_six_is_mod_two_plus_mod_three(sigma_rp3):
+    # Chinese remainder: IH over Z/6 splits as IH over Z/2 plus IH over Z/3
+    for p in gm_lattice(4):
+        for k in range(5):
+            H6 = intersection_homology(sigma_rp3, p, Zmod(6), k)
+            d2 = intersection_homology(sigma_rp3, p, Zmod(2), k).free_rank
+            d3 = intersection_homology(sigma_rp3, p, Zmod(3), k).free_rank
+            assert primary_parts(H6.orders) == [2] * d2 + [3] * d3, (p, k)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_homology_mod_m_by_universal_coefficients(sigma_rp3, m):
+    # H_k(Z/m) = H_k (x) Z/m + Tor(H_{k-1}, Z/m), from the integral groups
+    got = []
+    for k in range(5):
+        H = sigma_rp3.homology(k, ZZ)
+        tor = sigma_rp3.homology(k - 1, ZZ).torsion if k else []
+        want = [m] * H.free_rank + [gcd(d, m) for d in H.torsion + tor]
+        Hm = sigma_rp3.homology(k, Zmod(m))
+        assert primary_parts(Hm.orders) == primary_parts(want), k
+        got.append(str(Hm))
+    if m == 4:
+        assert got == ["(Z/4)", "0", "Z/2", "Z/2", "(Z/4)"]
+
+
+def test_ih_mod_four_is_subdivision_invariant():
+    K = suspension(projective_space(3, 1))
+    sd = barycentric_subdivision(K)
+    assert sum(len(sd.simplices(k)) for k in range(4)) == 5049
+    for p in gm_lattice(3):
+        for k in range(4):
+            assert str(intersection_homology(sd, p, Zmod(4), k)) == str(
+                intersection_homology(K, p, Zmod(4), k)), (p, k)

@@ -12,7 +12,7 @@ from ihomology.snf import (
     hermite_solve,
     hermite_solve_vector,
     integer_kernel,
-    integer_kernel_mod,
+    kernel,
     solve_matrix,
 )
 
@@ -352,15 +352,18 @@ def test_integer_kernel_sum_matrix():
 
 
 def test_integer_kernel_mod_brute():
+    # kernel over a composite Z/m spans exactly the brute-force kernel
     rng = random.Random(31)
     for m in (4, 6):
+        R = Zmod(m)
         for _ in range(10):
             nr = rng.randrange(1, 3)
             nc = rng.randrange(1, 4)
             data = [[rng.randrange(-3, 4) for _ in range(nc)] for _ in range(nr)]
-            M = Matrix.from_rows(ZZ, data)
-            K = integer_kernel_mod(M, m)
-            assert K.ncols == nc
+            M = Matrix.from_rows(R, data)
+            K = kernel(M)
+            assert (M @ K).is_zero()
+            assert hermite_column_form(K) == K
             kcols = [K.column(j) for j in range(K.ncols)]
             got = span_mod(kcols, m, nc)
             want = set()
@@ -375,3 +378,61 @@ def test_integer_kernel_mod_brute():
                 if all(v % m == 0 for v in b.values()):
                     want.add(tuple(x))
             assert got == want, (m, data)
+
+
+def test_kernel_dispatches_by_ring():
+    M = Matrix.from_rows(ZZ, [[1, 1, 1], [0, 2, 4]])
+    assert kernel(M) == integer_kernel(M)
+    for R in (QQ, Zmod(5)):
+        assert kernel(M.map_ring(R)) == field_kernel(M.map_ring(R))
+    # over Z/4 the kernel of [2] is 2*Z/4, of order 2, not free
+    K = kernel(Matrix.from_rows(Zmod(4), [[2]]))
+    assert K == Matrix.from_rows(Zmod(4), [[2]])
+
+
+def test_howell_form_over_composite_moduli():
+    # the Howell form depends only on the span; pivots divide m, earlier
+    # columns are reduced below each pivot, and the columns pivoting at
+    # or below row i span every vector of the span vanishing above i
+    rng = random.Random(41)
+    for m in (4, 6, 8, 12):
+        R = Zmod(m)
+        for _ in range(8):
+            n = rng.randrange(1, 4)
+            k = rng.randrange(1, 4)
+            cols = random_columns(rng, R, n, k)
+            H = hermite_column_form(Matrix.from_columns(R, n, cols))
+            other = recombined(rng, R, cols) + [{i: R.mul(2, v) for i, v in cols[0].items()}]
+            rng.shuffle(other)
+            assert hermite_column_form(Matrix.from_columns(R, n, other)) == H
+            Hc = [H.column(j) for j in range(H.ncols)]
+            pivots = [min(c) for c in Hc]
+            assert pivots == sorted(set(pivots))
+            for j, r in enumerate(pivots):
+                g = Hc[j][r]
+                assert m % g == 0
+                assert all(0 <= Hc[l].get(r, 0) < g for l in range(j))
+            span = span_mod(cols, m, n)
+            assert span_mod(Hc, m, n) == span
+            for i in range(n):
+                below = [c for c, r in zip(Hc, pivots) if r >= i]
+                assert span_mod(below, m, n) == {v for v in span if not any(v[:i])}
+
+
+def test_hermite_solve_vector_over_composite_moduli():
+    # forward substitution against a Howell basis solves exactly the span
+    rng = random.Random(43)
+    for m in (4, 6, 9):
+        R = Zmod(m)
+        for _ in range(8):
+            n = rng.randrange(1, 4)
+            cols = random_columns(rng, R, n, rng.randrange(1, 4))
+            B = hermite_column_form(Matrix.from_columns(R, n, cols))
+            span = span_mod(cols, m, n)
+            for idx in range(m ** n):
+                v = tuple(idx // m ** i % m for i in range(n))
+                c = {i: x for i, x in enumerate(v) if x}
+                x = hermite_solve_vector(B, c)
+                assert (x is not None) == (v in span)
+                if x is not None:
+                    assert B @ x == c
