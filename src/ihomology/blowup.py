@@ -47,13 +47,6 @@ def tuple_degree(b):
     return sum(len(F) - 1 + e for F, e in b)
 
 
-def tuple_support(b):
-    out = []
-    for F, _ in b:
-        out.extend(F)
-    return tuple(sorted(out))
-
-
 def tuple_norm(b, level):
     """Perverse degree of a basis tuple along the codimension-level stratum.
 

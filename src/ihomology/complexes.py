@@ -17,7 +17,7 @@ factors all divide m, and a free summand Z/m gets order m.
 """
 
 from .matrices import Matrix
-from .rings import ZZ, IntegerRing, RationalField, ZmodRing
+from .rings import IntegerRing, RationalField, ZmodRing
 from .snf import (
     hermite_solve,
     hermite_solve_vector,
@@ -298,19 +298,14 @@ class InducedMap:
         if n == 0:
             return True
         ring = tgt.ring
-        if ring.is_field:
-            cols = [{i: c for i, c in enumerate(coords) if c != 0}
-                    for coords in self.image_coords]
-            M = Matrix.from_columns(ring, n, cols)
-            return len(invariant_factors(M)) == n
-        cols = [{i: int(c) for i, c in enumerate(coords) if c != 0}
+        # the image plus the relations (one column per nonzero order) must
+        # span ring^n; over Z/m every order divides m, so this agrees with
+        # surjectivity over Z
+        cols = [{i: ring.el(c) for i, c in enumerate(coords) if c != 0}
                 for coords in self.image_coords]
-        for i, o in enumerate(tgt.orders):
-            if o:
-                cols.append({i: o})
-        M = Matrix.from_columns(ZZ, n, cols)
-        inv = invariant_factors(M)
-        return len(inv) == n and all(d == 1 for d in inv)
+        cols += [{i: ring.el(o)} for i, o in enumerate(tgt.orders) if o]
+        inv = invariant_factors(Matrix.from_columns(ring, n, cols))
+        return len(inv) == n and all(ring.is_unit(d) for d in inv)
 
     def is_isomorphism(self):
         """Isomorphism test for finitely generated modules.

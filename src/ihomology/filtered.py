@@ -37,10 +37,6 @@ class JoinDecomposition:
         self.parts = parts
         self.regular = bool(parts[-1])
 
-    def dims(self):
-        """dim of each join factor; empty factors give -1."""
-        return tuple(len(p) - 1 for p in self.parts)
-
     def __repr__(self):
         return f"JoinDecomposition({self.parts!r})"
 

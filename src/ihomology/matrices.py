@@ -52,10 +52,6 @@ class Matrix:
                     rows.setdefault(i, {})[j] = v
         return cls(ring, nrows, len(columns), rows)
 
-    def copy(self):
-        return Matrix(self.ring, self.nrows, self.ncols,
-                      {i: dict(r) for i, r in self.rows.items()})
-
     def get(self, i, j):
         row = self.rows.get(i)
         if row is None:
@@ -141,21 +137,6 @@ class Matrix:
                 rows[i] = acc
         return Matrix(R, self.nrows, other.ncols, rows)
 
-    def add(self, other):
-        R = self.ring
-        rows = {i: dict(r) for i, r in self.rows.items()}
-        for i, orow in other.rows.items():
-            row = rows.setdefault(i, {})
-            for j, v in orow.items():
-                s = R.add(row.get(j, R.zero), v)
-                if R.is_zero(s):
-                    row.pop(j, None)
-                else:
-                    row[j] = s
-            if not row:
-                del rows[i]
-        return Matrix(R, self.nrows, self.ncols, rows)
-
     def scale(self, c):
         R = self.ring
         if R.is_zero(c):
@@ -163,9 +144,6 @@ class Matrix:
         rows = {i: {j: R.mul(c, v) for j, v in r.items()}
                 for i, r in self.rows.items()}
         return Matrix(R, self.nrows, self.ncols, rows)
-
-    def sub(self, other):
-        return self.add(other.scale(self.ring.el(-1)))
 
     def submatrix(self, row_idx, col_idx):
         """Rows and columns picked by index lists, in the given order."""

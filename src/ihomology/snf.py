@@ -15,16 +15,16 @@ Bases of column spans are kept in one canonical echelon form
 column echelon form over a field, and the Howell form over a composite
 Z/m, whose pivots divide m and whose columns pivoting at or below any
 row span every vector of the span that vanishes above it.  Kernels come
-in that form (kernel): over Z from the Smith form's V and a Hermite
-pass (integer_kernel), over a field from one elimination pivoting at
-each row's rightmost column (field_kernel), over a composite Z/m from
-the Howell form of M stacked on the identity.  A vector is written in
-such a basis by forward substitution down the pivot staircase
-(hermite_solve_vector), with no transforms, over every ring.
+in that form (kernel): over Z and a composite Z/m from the echelon form
+of M stacked on the identity (integer_kernel), over a field from one
+elimination pivoting at each row's rightmost column (field_kernel).  A
+vector is written in such a basis by forward substitution down the
+pivot staircase (hermite_solve_vector), with no transforms, over every
+ring.
 """
 
 from .matrices import Matrix
-from .rings import IntegerRing, ZmodRing
+from .rings import ZmodRing
 
 
 def _axpy(R, dst, src, c):
@@ -98,14 +98,6 @@ class SNFResult:
             if not R.is_zero(q):
                 y[i] = q
         return self.V @ y
-
-    def kernel_basis(self):
-        """Sparse columns spanning ker M.  Valid over Z and over fields."""
-        R = self.ring
-        if isinstance(R, ZmodRing) and not R.is_field:
-            raise ValueError("kernel over composite Z/m goes through kernel()")
-        Vc = self.V.columns()
-        return [dict(Vc.get(j, {})) for j in range(self.rank, self.ncols)]
 
 
 class _Eliminator:
@@ -603,36 +595,32 @@ def field_kernel(M):
 
 
 def integer_kernel(M):
-    """Canonical basis of ker(M) over Z, as matrix columns."""
-    res = smith_normal_form(M, transforms=("V",))
-    ker = res.kernel_basis()
-    if not ker:
-        return Matrix(M.ring, M.ncols, 0)
-    return hermite_column_form(Matrix.from_columns(M.ring, M.ncols, ker))
+    """Canonical basis of ker(M) over Z or a composite Z/m, as columns.
 
-
-def kernel(M):
-    """Canonical basis of ker(M) over any ring, as matrix columns.
-
-    Over Z and fields the kernel is free (integer_kernel, field_kernel).
-    Over a composite Z/m it need not be.  There the columns of the
-    Howell form of [M; I] that pivot in the I block span every vector
-    (0, x) of the span of the (M x, x), that is every x in ker(M);
-    shifted up, they are ker(M) in Howell form.
+    The columns of hermite_column_form([M; I]) that pivot in the I block
+    span every vector (0, x) of the span of the (M x, x), that is every x
+    in ker(M); shifted up, they are ker(M) in Hermite form over Z and in
+    Howell form over Z/m.
     """
     R = M.ring
-    if isinstance(R, IntegerRing):
-        return integer_kernel(M)
-    if R.is_field:
-        return field_kernel(M)
     r, n = M.nrows, M.ncols
-    rows = {i: dict(row) for i, row in M.rows.items()}
+    rows = dict(M.rows)
     for j in range(n):
         rows[r + j] = {j: R.one}
     H = hermite_column_form(Matrix(R, r + n, n, rows))
     Hc = H.columns()
     return Matrix.from_columns(R, n, [{i - r: v for i, v in Hc[j].items()}
                                       for j in range(H.ncols) if min(Hc[j]) >= r])
+
+
+def kernel(M):
+    """Canonical basis of ker(M) over any ring, as matrix columns:
+    field_kernel over a field, integer_kernel over Z and Z/m.  Over a
+    composite Z/m the kernel need not be free; its Howell basis still
+    spans it."""
+    if M.ring.is_field:
+        return field_kernel(M)
+    return integer_kernel(M)
 
 
 def pivot_columns(B):

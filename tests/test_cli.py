@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import importlib.metadata
+import json
 import os
 import subprocess
 import sys
@@ -297,6 +299,25 @@ def test_bad_perversity_rejected(capsys):
     code, _, err = run_cli(capsys, "ih", "--builtin", "s4",
                            "--perversity", "middle")
     assert code == 2
+
+
+# The benchmark's workloads on their unrelabelled base complexes; a
+# relabelling is an isomorphism, so perfbench/expected.json holds the
+# exit status and stdout sha256 of these runs too.
+BENCHMARK_WORKLOADS = {
+    "factorization-Z": ["verify", "factorization", "--builtin", "rp3"],
+    "zero-top-Q": ["verify", "zero-top", "--builtin", "rp3", "--coeffs", "Q"],
+    "homology-sigma-Z": ["homology", "--builtin", "sigma-rp3"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_output(workload, capsys):
+    expected_file = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    want = json.loads(expected_file.read_text())[workload]
+    code, out, _ = run_cli(capsys, *BENCHMARK_WORKLOADS[workload])
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 def test_unknown_subcommand_exits_two(capsys):

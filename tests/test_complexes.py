@@ -127,6 +127,32 @@ def test_induced_not_iso_on_free():
     assert ident.induced(0).is_isomorphism()
 
 
+@pytest.mark.parametrize("R, c, iso", [(Zmod(4), 2, False), (Zmod(4), 3, True),
+                                       (QQ, 0, False), (QQ, 2, True)],
+                         ids=["Z4-times-2", "Z4-times-3", "Q-times-0", "Q-times-2"])
+def test_induced_multiplication_on_free_module(R, c, iso):
+    C = PresentedComplex(R, {0: 1}, {})
+    f = ChainMap(C, C, {0: Matrix.from_rows(R, [[c]])})
+    f.verify()
+    assert f.induced(0).is_surjective() == iso
+    assert f.induced(0).is_isomorphism() == iso
+
+
+def test_induced_surjective_needs_the_orders():
+    # over Z/12, H_0 of Z/12 --(4)--> Z/12 is Z/4; times 3 is onto it,
+    # although 3 is not a unit of Z/12
+    R = Zmod(12)
+    C = PresentedComplex(R, {0: 1, 1: 1}, {1: Matrix.from_rows(R, [[4]])})
+    f = ChainMap(C, C, {0: Matrix.from_rows(R, [[3]]),
+                        1: Matrix.from_rows(R, [[3]])})
+    f.verify()
+    assert C.homology(0).orders == [4]
+    assert f.induced(0).is_isomorphism()
+    g = ChainMap(C, C, {0: Matrix.from_rows(R, [[2]]),
+                        1: Matrix.from_rows(R, [[2]])})
+    assert not g.induced(0).is_surjective()
+
+
 def test_chain_map_verify_reports_degree():
     C = PresentedComplex(ZZ, {0: 1, 1: 1}, {1: Matrix.from_rows(ZZ, [[2]])})
     f = ChainMap(C, C, {0: Matrix.identity(ZZ, 1),

@@ -151,8 +151,9 @@ def test_solve_and_kernel():
         got = res.solve(b)
         assert got is not None
         assert M @ got == b
-        for col in res.kernel_basis():
-            assert M @ col == {}
+        Vc = res.V.columns()
+        for j in range(res.rank, nc):
+            assert M @ Vc.get(j, {}) == {}
 
 
 def test_solve_unsolvable():
@@ -278,7 +279,7 @@ def test_hermite_solve_vector_off_the_span():
     assert hermite_solve_vector(B, {0: 4}) == {0: 2}
 
 
-def random_field_matrix(rng, R, i):
+def random_matrix(rng, R, i):
     """The i-th matrix of a mix: zero (empty shapes included), random of
     random density, full rank, and a product through a narrower rank."""
     nr, nc = rng.randrange(0, 7), rng.randrange(0, 7)
@@ -314,17 +315,19 @@ def random_field_matrix(rng, R, i):
     return A @ B
 
 
-@pytest.mark.parametrize("R", [QQ, Zmod(2), Zmod(5)], ids=["Q", "Z2", "Z5"])
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(2), Zmod(5)], ids=["Z", "Q", "Z2", "Z5"])
 def test_field_kernel_is_the_reduced_echelon_kernel(R):
-    # one right-to-left elimination gives the basis that the Smith kernel
-    # columns reach through hermite_column_form
+    # kernel (one right-to-left elimination over a field, the echelon
+    # form of [M; I] over Z) gives the basis that the Smith kernel
+    # columns V[:, rank:] reach through hermite_column_form
     rng = random.Random(37)
     for i in range(1000):
-        M = random_field_matrix(rng, R, i)
-        K = field_kernel(M)
+        M = random_matrix(rng, R, i)
+        K = kernel(M)
         smith = smith_normal_form(M, transforms=("V",))
-        want = hermite_column_form(
-            Matrix.from_columns(R, M.ncols, smith.kernel_basis()))
+        Vc = smith.V.columns()
+        want = hermite_column_form(Matrix.from_columns(
+            R, M.ncols, [Vc.get(j, {}) for j in range(smith.rank, M.ncols)]))
         assert K == want, M
         assert K.ncols == M.ncols - smith.rank
         assert (M @ K).is_zero()
