@@ -9,7 +9,7 @@ statements those caps induce.
 
 from .rings import ZZ, QQ, Zmod, ring_by_name
 from .matrices import Matrix
-from .snf import smith_normal_form, invariant_factors, integer_kernel
+from .snf import smith_normal_form, invariant_factors, integer_kernel, kernel
 from .filtered import (FilteredComplex, NonOrientableError, builtin,
                        cone, suspension, load_complex, parse_complex)
 from .perversity import (Perversity, zero, top, clip, gm_lattice,
@@ -25,7 +25,7 @@ from .cap import (classical_cap, intersection_cap, classical_duality,
 __all__ = [
     "ZZ", "QQ", "Zmod", "ring_by_name",
     "Matrix",
-    "smith_normal_form", "invariant_factors", "integer_kernel",
+    "smith_normal_form", "invariant_factors", "integer_kernel", "kernel",
     "FilteredComplex", "NonOrientableError", "builtin",
     "cone", "suspension", "load_complex", "parse_complex",
     "Perversity", "zero", "top", "clip", "gm_lattice", "parse_perversity",

@@ -7,21 +7,26 @@ in rings.py; over Z/m the Bezout steps are computed on canonical lifts,
 so every 2x2 block used is invertible mod m.
 
 Pivoting prefers units and sparse rows/columns (a cheap Markowitz rule),
-which keeps fill-in tame on boundary matrices.  All choices are made by
-explicit sorted order, so results are deterministic.
+which keeps fill-in tame on boundary matrices.  Columns are searched in
+the explicit sorted order (row count, then column index), read off a
+lazy min-heap instead of a full sort per pivot, so results are
+deterministic.
 
 Bases of column spans are kept in one canonical echelon form
 (hermite_column_form): the column Hermite form over Z, the reduced
 column echelon form over a field, and the Howell form over a composite
 Z/m, whose pivots divide m and whose columns pivoting at or below any
 row span every vector of the span that vanishes above it.  Kernels come
-in that form (kernel): over Z and a composite Z/m from the echelon form
-of M stacked on the identity (integer_kernel), over a field from one
-elimination pivoting at each row's rightmost column (field_kernel).  A
-vector is written in such a basis by forward substitution down the
-pivot staircase (hermite_solve_vector), with no transforms, over every
-ring.
+in that form from one elimination for every ring (kernel): each row
+pivots at its rightmost column when that entry is a unit and is set
+aside when it is not, and only the residual of the set-aside rows goes
+through the echelon form of itself stacked on the identity
+(integer_kernel).  A vector is written in such a basis by forward
+substitution down the pivot staircase (hermite_solve_vector), with no
+transforms, over every ring.
 """
+
+import heapq
 
 from .matrices import Matrix
 from .rings import ZmodRing
@@ -110,6 +115,10 @@ class _Eliminator:
         for i, r in self.rows.items():
             for j in r:
                 self.colrows.setdefault(j, set()).add(i)
+        # lazy min-heap of (row count, column): every change of a column's
+        # count pushes the new pair, and stale pairs are dropped when popped
+        self.heap = [(len(s), j) for j, s in self.colrows.items()]
+        heapq.heapify(self.heap)
         if transforms is True:
             wanted = {"U", "Uinv", "V", "Vinv"}
         elif not transforms:
@@ -140,7 +149,9 @@ class _Eliminator:
             if row is not None and row.pop(j, None) is not None:
                 s = self.colrows[j]
                 s.discard(i)
-                if not s:
+                if s:
+                    heapq.heappush(self.heap, (len(s), j))
+                else:
                     del self.colrows[j]
                 if not row:
                     del self.rows[i]
@@ -148,7 +159,9 @@ class _Eliminator:
             if row is None:
                 row = self.rows[i] = {}
             if j not in row:
-                self.colrows.setdefault(j, set()).add(i)
+                s = self.colrows.setdefault(j, set())
+                s.add(i)
+                heapq.heappush(self.heap, (len(s), j))
             row[j] = w
 
     def _m_row_axpy(self, i, k, c):
@@ -164,7 +177,8 @@ class _Eliminator:
         R = self.R
         ri = self.rows.pop(i, {})
         rk = self.rows.pop(k, {})
-        for j in set(ri) | set(rk):
+        touched = set(ri) | set(rk)
+        for j in touched:
             cs = self.colrows.get(j)
             if cs is not None:
                 cs.discard(i)
@@ -181,6 +195,10 @@ class _Eliminator:
             self.rows[k] = nk
             for j in nk:
                 self.colrows.setdefault(j, set()).add(k)
+        for j in touched:
+            cs = self.colrows.get(j)
+            if cs is not None:
+                heapq.heappush(self.heap, (len(cs), j))
 
     def _m_row_swap(self, i, k):
         ri = self.rows.pop(i, None)
@@ -228,8 +246,10 @@ class _Eliminator:
                 row[l] = a
         if sl:
             self.colrows[j] = sl
+            heapq.heappush(self.heap, (len(sl), j))
         if sj:
             self.colrows[l] = sj
+            heapq.heappush(self.heap, (len(sj), l))
 
     def _m_col_scale(self, j, c):
         R = self.R
@@ -311,45 +331,56 @@ class _Eliminator:
 
     # --- main loop ---
 
+    def _next_column(self, p, visited):
+        """Pop the live (count, column) pair that comes next in sorted order
+        among the columns >= p not yet visited, and record it in visited
+        (column -> count); None when none is left."""
+        heap, colrows = self.heap, self.colrows
+        while heap:
+            ln, j = heapq.heappop(heap)
+            if j >= p and j not in visited and len(colrows.get(j, ())) == ln:
+                visited[j] = ln
+                return ln, j
+        return None
+
     def _find_pivot(self, p):
+        # columns are visited in (count, column) order off the heap, as a
+        # full sort would give them; the visited pairs go back on it
         R = self.R
-        cols = sorted((len(s), j) for j, s in self.colrows.items() if j >= p)
-        if not cols:
-            return None
-        best = None
-        examined = 0
-        found_unit = False
-        for ln, j in cols:
-            rows_here = self.colrows[j]
-            for i in sorted(rows_here):
-                v = self.rows[i][j]
-                sz = R.size(v)
-                cost = (ln - 1) * (len(self.rows[i]) - 1)
-                key = (sz, cost, i, j)
-                if best is None or key < best:
-                    best = key
-                    if sz == 1 and cost == 0:
-                        return i, j
-                if sz == 1:
-                    found_unit = True
-            examined += 1
-            if found_unit and examined >= 4:
-                break
-            if examined >= 40:
-                break
-        if best is not None and best[0] > 1 and examined < len(cols):
-            # no unit seen in the sparse columns; look everywhere for a
-            # smaller pivot before committing to a non-unit
-            for ln, j in cols[examined:]:
+        visited = {}
+        try:
+            best = None
+            found_unit = False
+            while len(visited) < 40 and not (found_unit and len(visited) >= 4):
+                nxt = self._next_column(p, visited)
+                if nxt is None:
+                    break
+                ln, j = nxt
                 for i in sorted(self.colrows[j]):
-                    v = self.rows[i][j]
-                    sz = R.size(v)
-                    if sz < best[0]:
-                        cost = (ln - 1) * (len(self.rows[i]) - 1)
-                        key = (sz, cost, i, j)
-                        if key < best:
-                            best = key
-        return best[2], best[3]
+                    sz = R.size(self.rows[i][j])
+                    cost = (ln - 1) * (len(self.rows[i]) - 1)
+                    key = (sz, cost, i, j)
+                    if best is None or key < best:
+                        best = key
+                        if sz == 1 and cost == 0:
+                            return i, j
+                    if sz == 1:
+                        found_unit = True
+            if best is None:
+                return None
+            if best[0] > 1:
+                # no unit seen in the sparse columns; look everywhere for a
+                # smaller pivot before committing to a non-unit
+                while (nxt := self._next_column(p, visited)) is not None:
+                    ln, j = nxt
+                    for i in sorted(self.colrows[j]):
+                        sz = R.size(self.rows[i][j])
+                        if sz < best[0]:
+                            best = (sz, (ln - 1) * (len(self.rows[i]) - 1), i, j)
+            return best[2], best[3]
+        finally:
+            for j, ln in visited.items():
+                heapq.heappush(self.heap, (ln, j))
 
     def _clear(self, p):
         R = self.R
@@ -556,51 +587,15 @@ def hermite_column_form(M):
     return Matrix.from_columns(R, M.nrows, [pc for _, pc in pivots])
 
 
-def field_kernel(M):
-    """Reduced column echelon basis of ker(M) over a field, as columns.
-
-    One elimination, no transforms: each row is reduced at its largest
-    column while a pivot row sits there, else it becomes that column's
-    pivot row, scaled to 1.  After back-substitution each free column f
-    gives v_f = e_f - sum_c P_c[f] e_c, which starts at f with a 1 and
-    vanishes at the other free columns: the basis hermite_column_form
-    gives for ker(M), in any row order.
-    """
-    R = M.ring
-    if not R.is_field:
-        raise ValueError("field_kernel needs a field")
-    pivots = {}
-    for i in sorted(M.rows):
-        row = dict(M.rows[i])
-        while row:
-            c = max(row)
-            p = pivots.get(c)
-            if p is None:
-                inv = R.inv(row[c])
-                pivots[c] = {k: R.mul(inv, v) for k, v in row.items()}
-                break
-            _axpy(R, row, p, R.neg(row[c]))
-    for c in sorted(pivots):
-        p = pivots[c]
-        for d in [d for d in p if d != c and d in pivots]:
-            _axpy(R, p, pivots[d], R.neg(p[d]))
-    free = [f for f in range(M.ncols) if f not in pivots]
-    pos = {f: j for j, f in enumerate(free)}
-    rows = {f: {pos[f]: R.one} for f in free}
-    for c, p in pivots.items():
-        r = {pos[f]: R.neg(v) for f, v in p.items() if f != c}
-        if r:
-            rows[c] = r
-    return Matrix(R, M.ncols, len(free), rows)
-
-
 def integer_kernel(M):
-    """Canonical basis of ker(M) over Z or a composite Z/m, as columns.
+    """Canonical basis of ker(M) over any ring, as columns.
 
     The columns of hermite_column_form([M; I]) that pivot in the I block
     span every vector (0, x) of the span of the (M x, x), that is every x
-    in ker(M); shifted up, they are ker(M) in Hermite form over Z and in
-    Howell form over Z/m.
+    in ker(M); shifted up, they are ker(M) in Hermite form over Z, in
+    Howell form over a composite Z/m and in reduced echelon form over a
+    field.  kernel() gives the same basis; it calls this only on the
+    residual rows its unit-pivot elimination sets aside.
     """
     R = M.ring
     r, n = M.nrows, M.ncols
@@ -614,13 +609,68 @@ def integer_kernel(M):
 
 
 def kernel(M):
-    """Canonical basis of ker(M) over any ring, as matrix columns:
-    field_kernel over a field, integer_kernel over Z and Z/m.  Over a
-    composite Z/m the kernel need not be free; its Howell basis still
-    spans it."""
-    if M.ring.is_field:
-        return field_kernel(M)
-    return integer_kernel(M)
+    """Canonical basis of ker(M) over any ring, as matrix columns: the
+    Hermite basis over Z, the Howell basis over a composite Z/m (the
+    kernel need not be free there, but this basis spans it) and the
+    reduced column echelon basis over a field.
+
+    One elimination, no transforms: each row is reduced at its largest
+    column while a pivot row sits there; else it becomes that column's
+    pivot row, scaled to 1, if that entry is a unit, and is set aside if
+    not.  After back-substitution each pivot row P_c has its 1 at c and
+    its other entries at free columns f < c, and the columns
+    v_f = e_f - sum_c P_c[f] e_c of V are the basis over a field, where
+    nothing is set aside.  Otherwise the set-aside rows, reduced by the
+    pivot rows, are a residual D on the free columns, and ker(M) is V
+    ker(D).  Each v_f starts at f with a 1 and equals e_f on the free
+    rows, so V keeps first entries and the entries at free rows: V times
+    the canonical basis of ker(D) (from integer_kernel on the columns D
+    touches, e_f on the rest) is the canonical basis of ker(M).
+    """
+    R = M.ring
+    pivots = {}
+    aside = []
+    for i in sorted(M.rows):
+        row = dict(M.rows[i])
+        while row:
+            c = max(row)
+            p = pivots.get(c)
+            if p is not None:
+                _axpy(R, row, p, R.neg(row[c]))
+            elif R.is_unit(row[c]):
+                inv = R.inv(row[c])
+                pivots[c] = {k: R.mul(inv, v) for k, v in row.items()}
+                break
+            else:
+                aside.append(row)
+                break
+    for c in sorted(pivots):
+        p = pivots[c]
+        for d in [d for d in p if d != c and d in pivots]:
+            _axpy(R, p, pivots[d], R.neg(p[d]))
+    free = [f for f in range(M.ncols) if f not in pivots]
+    pos = {f: j for j, f in enumerate(free)}
+    rows = {f: {pos[f]: R.one} for f in free}
+    for c, p in pivots.items():
+        r = {pos[f]: R.neg(e) for f, e in p.items() if f != c}
+        if r:
+            rows[c] = r
+    V = Matrix(R, M.ncols, len(free), rows)
+    for row in aside:
+        for c in [c for c in row if c in pivots]:
+            _axpy(R, row, pivots[c], R.neg(row[c]))
+    touched = sorted({pos[f] for row in aside for f in row})
+    if not touched:
+        return V
+    at = {j: k for k, j in enumerate(touched)}
+    D = Matrix(R, len(aside), len(touched),
+               {i: {at[pos[f]]: e for f, e in row.items()}
+                for i, row in enumerate(aside) if row})
+    Y = [(j, {j: R.one}) for j in range(len(free)) if j not in at]
+    for y in integer_kernel(D).columns().values():
+        Y.append((touched[min(y)], {touched[k]: e for k, e in y.items()}))
+    Y.sort(key=lambda jy: jy[0])
+    return V @ Matrix.from_columns(R, len(free), [y for _, y in Y])
 
 
 def pivot_columns(B):

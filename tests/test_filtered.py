@@ -137,13 +137,22 @@ def test_rp3_is_orientable():
     assert all(v in (1, -1) for v in z.values())
 
 
-@pytest.mark.slow
 def test_rp3_finer_model_agrees():
     # one more barycentric subdivision: much larger, same homology
     fine = projective_space(4, subdivisions=2)
     assert fine.euler_characteristic() == 0
     assert str(fine.homology(1, ZZ)) == "Z/2"
     assert str(fine.homology(3, ZZ)) == "Z"
+
+
+@pytest.mark.slow
+def test_suspension_of_finer_rp3_model():
+    # the 60k-simplex model: suspension shifts H_1(RP^3) = Z/2 and
+    # H_3(RP^3) = Z up one degree
+    X = suspension(projective_space(4, subdivisions=2))
+    assert X.f_vector() == (850, 7152, 20128, 23040, 9216)
+    C = X.chain_complex(ZZ)
+    assert [str(C.homology(k)) for k in range(5)] == ["Z", "0", "Z/2", "0", "Z"]
 
 
 def test_fundamental_class_of_sphere():

@@ -5,9 +5,9 @@ import pytest
 from ihomology.matrices import Matrix
 from ihomology.rings import ZZ, QQ, Zmod
 from ihomology.snf import (
+    _Eliminator,
     smith_normal_form,
     invariant_factors,
-    field_kernel,
     hermite_column_form,
     hermite_solve,
     hermite_solve_vector,
@@ -337,10 +337,49 @@ def test_field_kernel_is_the_reduced_echelon_kernel(R):
             assert smith.rank < max(min(M.nrows, M.ncols), 1)
 
 
-def test_field_kernel_needs_a_field():
-    for R in (ZZ, Zmod(6)):
-        with pytest.raises(ValueError):
-            field_kernel(Matrix.from_rows(R, [[1, 2]]))
+def test_kernel_sets_aside_non_unit_rows():
+    # the row's rightmost entry 3 is no unit over Z, so the row is set aside
+    # and the residual [2 3] goes through integer_kernel
+    assert kernel(Matrix.from_rows(ZZ, [[2, 3]])) == Matrix.from_rows(ZZ, [[3], [-2]])
+    # over Z/6 neither 2 nor 3 is a unit: ker = {(x, y) : 2x + 3y = 0} is
+    # {0, 3} x {0, 2, 4}, spanned by (3, 0) and (0, 2)
+    R = Zmod(6)
+    K = kernel(Matrix.from_rows(R, [[2, 3]]))
+    assert K == integer_kernel(Matrix.from_rows(R, [[2, 3]]))
+    assert K == Matrix.from_rows(R, [[3, 0], [0, 2]])
+
+
+KERNEL_ENTRIES = (1, -1, 2, -2, 3, 4, 6)
+
+
+def mixed_entry_matrix(rng, R):
+    """A random matrix with entries from KERNEL_ENTRIES, non-units included,
+    where some rows are combinations of two earlier ones."""
+    nr, nc = rng.randrange(0, 7), rng.randrange(0, 8)
+    dens = rng.random()
+    data = [[rng.choice(KERNEL_ENTRIES) if rng.random() < dens else 0
+             for _ in range(nc)] for _ in range(nr)]
+    for i in range(2, nr):
+        if rng.random() < 0.4:
+            a, b = rng.sample(range(i), 2)
+            ca, cb = rng.choice(KERNEL_ENTRIES), rng.choice(KERNEL_ENTRIES)
+            data[i] = [ca * x + cb * y for x, y in zip(data[a], data[b])]
+    return Matrix.from_rows(R, data, ncols=nc)
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(2), Zmod(5), Zmod(4), Zmod(6),
+                               Zmod(12), Zmod(30)],
+                         ids=["Z", "Q", "Z2", "Z5", "Z4", "Z6", "Z12", "Z30"])
+def test_kernel_matches_the_stacked_echelon_form(R):
+    # the echelon form of [M; I] serves every ring, so integer_kernel on
+    # the whole of M is an oracle for kernel's unit-pivot elimination
+    rng = random.Random(47)
+    for _ in range(800):
+        M = mixed_entry_matrix(rng, R)
+        K = kernel(M)
+        assert K == integer_kernel(M), M.to_lists()
+        assert (M @ K).is_zero()
+        assert hermite_column_form(K) == K
 
 
 def test_integer_kernel_sum_matrix():
@@ -383,11 +422,17 @@ def test_integer_kernel_mod_brute():
             assert got == want, (m, data)
 
 
-def test_kernel_dispatches_by_ring():
+def test_kernel_over_each_ring():
+    # x + y + z = 0 and 2y + 4z = 0: ker is spanned by (1, -2, 1) over Z, Q
+    # and Z/5; over Z/4 the second row is 2y = 0, so ker is spanned by
+    # (1, 0, 3) and (0, 2, 2)
     M = Matrix.from_rows(ZZ, [[1, 1, 1], [0, 2, 4]])
-    assert kernel(M) == integer_kernel(M)
-    for R in (QQ, Zmod(5)):
-        assert kernel(M.map_ring(R)) == field_kernel(M.map_ring(R))
+    for R in (ZZ, QQ, Zmod(5)):
+        want = Matrix.from_rows(R, [[1], [-2], [1]])
+        assert kernel(M.map_ring(R)) == want
+        assert integer_kernel(M.map_ring(R)) == want
+    R = Zmod(4)
+    assert kernel(M.map_ring(R)) == Matrix.from_rows(R, [[1, 0], [0, 2], [3, 2]])
     # over Z/4 the kernel of [2] is 2*Z/4, of order 2, not free
     K = kernel(Matrix.from_rows(Zmod(4), [[2]]))
     assert K == Matrix.from_rows(Zmod(4), [[2]])
@@ -439,3 +484,74 @@ def test_hermite_solve_vector_over_composite_moduli():
                 assert (x is not None) == (v in span)
                 if x is not None:
                     assert B @ x == c
+
+
+class FullSortEliminator(_Eliminator):
+    """The eliminator with its pivot search by a full sort of the live
+    columns on every pivot: the reference for the heap-ordered search."""
+
+    def _find_pivot(self, p):
+        R = self.R
+        cols = sorted((len(s), j) for j, s in self.colrows.items() if j >= p)
+        if not cols:
+            return None
+        best = None
+        examined = 0
+        found_unit = False
+        for ln, j in cols:
+            for i in sorted(self.colrows[j]):
+                sz = R.size(self.rows[i][j])
+                cost = (ln - 1) * (len(self.rows[i]) - 1)
+                key = (sz, cost, i, j)
+                if best is None or key < best:
+                    best = key
+                    if sz == 1 and cost == 0:
+                        return i, j
+                if sz == 1:
+                    found_unit = True
+            examined += 1
+            if found_unit and examined >= 4:
+                break
+            if examined >= 40:
+                break
+        if best[0] > 1 and examined < len(cols):
+            for ln, j in cols[examined:]:
+                for i in sorted(self.colrows[j]):
+                    sz = R.size(self.rows[i][j])
+                    if sz < best[0]:
+                        cost = (ln - 1) * (len(self.rows[i]) - 1)
+                        key = (sz, cost, i, j)
+                        if key < best:
+                            best = key
+        return best[2], best[3]
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(4), Zmod(6)], ids=["Z", "Q", "Z4", "Z6"])
+def test_smith_pivot_order_matches_full_sort(R, rp3):
+    # the heap gives the columns in the full sort's (count, column) order,
+    # so every pivot, and with it every transform, is the same; the
+    # relabelled boundary matrices of rp3 have hundreds of columns, so the
+    # search stops at its column cap
+    rng = random.Random(53)
+    cases = [random_matrix(rng, R, i) if i % 2 else mixed_entry_matrix(rng, R)
+             for i in range(300)]
+    for k in (1, 2, 3):
+        B = rp3.boundary_matrix(k, R)
+        rows, cols = list(range(B.nrows)), list(range(B.ncols))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        cases.append(B.submatrix(rows, cols))
+    # the 40 sparsest columns hold only the non-unit 2 (over Z, Z/4 and
+    # Z/6), so the search goes on through the rest for a unit
+    rows = {i: {i: R.el(2)} for i in range(44)}
+    rows.update({i: {44: R.one} for i in (44, 45, 46)})
+    rows.update({i: {45: R.el(-1)} for i in (47, 48)})
+    cases.append(Matrix(R, 49, 46, rows))
+    for M in cases:
+        ref = FullSortEliminator(M, True)
+        ref.run()
+        want = ref.result()
+        got = smith_normal_form(M, transforms=True)
+        assert got.diag == want.diag, M.to_lists()
+        for name in ("U", "Uinv", "V", "Vinv"):
+            assert getattr(got, name) == getattr(want, name), (name, M.to_lists())
