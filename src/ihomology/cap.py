@@ -24,6 +24,7 @@ duality and the zero-to-top comparison, and the degree-3 obstruction
 display for the suspended projective space.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from .blowup import (blown_cap, blowup_complex, cochain_embedding_terms,
@@ -35,7 +36,7 @@ from .intersection import (cochain_complex, cohomology, comparison_map,
                            perverse_complex)
 from .matrices import Matrix
 from .perversity import clip, top, zero
-from .rings import ZZ, ZmodRing
+from .rings import ZZ, RationalField, ZmodRing
 
 
 def classical_cap_local(face, simplex):
@@ -452,6 +453,10 @@ def verify_factorization(space, ring, perversities=None):
             caps.setdefault(k, []).append(lhs)
             if target.coords(lhs) != target.coords(rhs):
                 ok = False
+                if isinstance(ring, RationalField):
+                    # the witness shows Q entries as Fractions, integral
+                    # ones too
+                    rhs = {i: Fraction(v) for i, v in rhs.items()}
                 lines.append(f"degree {k}: classes split, witness {rhs}")
     if ok:
         total = sum(len(v) for v in caps.values())

@@ -4,7 +4,8 @@ Homology is computed as a subquotient of the ambient chain module: a
 basis of cycles in the canonical echelon form of snf.kernel (the
 Hermite form over Z, the reduced column echelon form over a field, the
 Howell form over a composite Z/m), the boundary columns solved in that
-basis by forward substitution, and the Smith form of the result.  This
+basis by forward substitution (over a field, where the form is reduced,
+read off its pivot rows), and the Smith form of the result.  This
 gives ranks, torsion, explicit generating cycles, and well-defined
 coordinates of arbitrary cycles in the generators, which is what the
 product and duality checks need; a cycle's coordinates come from the
@@ -107,20 +108,32 @@ class HomologyGroup:
 
 
 def _group_from_cycles(ring, ambient_dim, Zb, B):
-    """Homology of span(Zb columns) / span(B columns).
+    """Homology of span(Zb columns) / span(B columns), for B inside
+    span(Zb).
 
     Zb is a cycle basis from kernel(), in the echelon form of
     hermite_column_form, so boundaries and cycles get their cycle
-    coordinates by forward substitution.  Over a composite Z/m,
-    kernel(Zb) holds the relations among the cycle generators, and a
-    zero diagonal entry of the Smith form gives order m.
+    coordinates by forward substitution.  Over a field that form is
+    reduced, and a boundary's coordinates are its entries at the pivot
+    rows.  Over a composite Z/m, kernel(Zb) holds the relations among
+    the cycle generators, and a zero diagonal entry of the Smith form
+    gives order m.
     """
     z = Zb.ncols
     if z == 0:
         return HomologyGroup.trivial(ring, ambient_dim)
-    Y = hermite_solve(Zb, B)
-    if Y is None:
-        raise ValueError("boundary columns do not lie in the cycle span")
+    pivots = None
+    if ring.is_field:
+        pivots = pivot_columns(Zb)
+        at = {r: j for r, (j, _) in pivots.items()}
+        Bc = B.columns()
+        Y = Matrix.from_columns(ring, z, [
+            {at[r]: v for r, v in sorted(Bc.get(j, {}).items()) if r in at}
+            for j in range(B.ncols)])
+    else:
+        Y = hermite_solve(Zb, B)
+        if Y is None:
+            raise ValueError("boundary columns do not lie in the cycle span")
     free = 0
     if isinstance(ring, ZmodRing) and not ring.is_field:
         Y = Y.hstack(kernel(Zb))
@@ -140,11 +153,10 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
         reps.append(gen)
 
     U_Y = snfY.U
-    pivots = None
 
     def coord_fn(v):
-        # the pivot map is built on the first call: homology alone never
-        # asks for coordinates
+        # over Z and Z/m the pivot map is built on the first call:
+        # homology alone never asks for coordinates
         nonlocal pivots
         if pivots is None:
             pivots = pivot_columns(Zb)
@@ -172,7 +184,12 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    return _group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
+    ring = bd_out.ring
+    # the cycle basis spans exactly ker(bd_out); over a field nothing
+    # else checks that the boundaries lie in it
+    if ring.is_field and not (bd_out @ bd_in).is_zero():
+        raise ValueError("boundary columns do not lie in the cycle span")
+    return _group_from_cycles(ring, bd_out.ncols, kernel(bd_out), bd_in)
 
 
 def homology_type_of(bd_out, bd_in):

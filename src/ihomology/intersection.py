@@ -68,16 +68,57 @@ def perverse_basis(ring, D, nk, cols, bad):
     return Matrix(ring, nk, ker.ncols, rows)
 
 
-class PerverseSubcomplex:
+class _BasedPerverseChains:
+    """Chains addressed in two coordinate systems: 'full' vectors over
+    all basis elements of a degree, and internal coordinates in
+    bases[k], whose columns are full vectors in the echelon form of
+    hermite_column_form.  All public methods speak full coordinates."""
+
+    def solve(self, k, image):
+        """Internal coordinates of the columns of image, a matrix over
+        the degree-k full basis; None if a column lies outside."""
+        return hermite_solve(self.bases[k], image)
+
+    def rank(self, k):
+        """Number of presentation generators in degree k."""
+        B = self.bases.get(k)
+        return B.ncols if B is not None else 0
+
+    def full_from_internal(self, k, vec):
+        """Full vector from internal presentation coordinates."""
+        return self.bases[k] @ vec
+
+    def internal_from_full(self, k, chain):
+        """Internal coordinates of a full vector; None if outside."""
+        pivots = self._pivots.get(k)
+        if pivots is None:
+            pivots = self._pivots[k] = pivot_columns(self.bases[k])
+        return hermite_solve_vector(self.bases[k], chain, pivots)
+
+    def generator_chains(self, k):
+        """Generators of the degree-k (co)homology as full vectors."""
+        H = self.homology(k)
+        return [self.full_from_internal(k, rep) for rep in H.reps]
+
+    def class_coords(self, k, chain):
+        """(Co)homology coordinates of a full-coordinate cycle."""
+        vec = self.internal_from_full(k, chain)
+        if vec is None:
+            raise ValueError("chain is not in the perverse subcomplex")
+        return self.homology(k).coords(vec)
+
+    def class_equal(self, k, c1, c2):
+        return self.class_coords(k, c1) == self.class_coords(k, c2)
+
+
+class PerverseSubcomplex(_BasedPerverseChains):
     """The perverse subcomplex of a based complex over Z or a field.
 
     Degree k has dim(k) basis elements, differential(k) maps it to
     degree k + step (step -1 for chains, +1 for cochains), and
     allowable(k) lists the allowable basis elements.  Degree k is stored
     in `complex` at -step * k, so the presented differential lowers the
-    degree either way.  Chains are addressed in two coordinate systems:
-    'full' vectors over all basis elements, and internal coordinates in
-    `bases[k]`.  All public methods speak full coordinates.
+    degree either way.  bases[k] is the perverse basis of degree k.
     """
 
     def __init__(self, ring, top, dim, differential, allowable, step):
@@ -105,54 +146,19 @@ class PerverseSubcomplex:
                 boundaries[-step * k] = M
         self.complex = PresentedComplex(ring, dims, boundaries, check=True)
 
-    def solve(self, k, image):
-        """Internal coordinates of the columns of image, a matrix over
-        the degree-k full basis; None if a column lies outside."""
-        return hermite_solve(self.bases[k], image)
-
-    def rank(self, k):
-        """Number of presentation generators in degree k."""
-        B = self.bases.get(k)
-        return B.ncols if B is not None else 0
-
-    def full_from_internal(self, k, vec):
-        """Full vector from internal presentation coordinates."""
-        return self.bases[k] @ vec
-
-    def internal_from_full(self, k, chain):
-        """Internal coordinates of a full vector; None if outside."""
-        pivots = self._pivots.get(k)
-        if pivots is None:
-            pivots = self._pivots[k] = pivot_columns(self.bases[k])
-        return hermite_solve_vector(self.bases[k], chain, pivots)
-
     def homology(self, k):
         return self.complex.homology(-self.step * k)
 
-    def generator_chains(self, k):
-        """Generators of the degree-k (co)homology as full vectors."""
-        H = self.homology(k)
-        return [self.full_from_internal(k, rep) for rep in H.reps]
 
-    def class_coords(self, k, chain):
-        """(Co)homology coordinates of a full-coordinate cycle."""
-        vec = self.internal_from_full(k, chain)
-        if vec is None:
-            raise ValueError("chain is not in the perverse subcomplex")
-        return self.homology(k).coords(vec)
-
-    def class_equal(self, k, c1, c2):
-        return self.class_coords(k, c1) == self.class_coords(k, c2)
-
-
-class LatticePerverseComplex:
+class LatticePerverseComplex(_BasedPerverseChains):
     """Perverse chains over Z/m with m composite.
 
     The submodule need not be free, so a basis of it does not present a
     chain complex.  Homology in degree k is computed over the allowable
     k-simplices instead: the cycles there, modulo the image of the
-    degree-(k+1) perverse basis from perverse_basis.  Internal
-    coordinates are plain coordinates over the allowable simplices.
+    degree-(k+1) perverse basis from perverse_basis.  bases[k] holds the
+    allowable k-simplices as columns, so internal coordinates are plain
+    coordinates over the allowable simplices.
     """
 
     def __init__(self, K, p, ring):
@@ -160,23 +166,11 @@ class LatticePerverseComplex:
         self.ring = ring
         self.allowable = {k: allowable_indices(K, k, p)
                           for k in range(K.top_dim() + 1)}
+        self.bases = {k: Matrix(ring, len(K.simplices(k)), len(cols),
+                                {j: {i: ring.one} for i, j in enumerate(cols)})
+                      for k, cols in self.allowable.items()}
+        self._pivots = {}
         self._groups = {}
-
-    def rank(self, k):
-        return len(self.allowable.get(k, ()))
-
-    def full_from_internal(self, k, vec):
-        cols = self.allowable[k]
-        return {cols[i]: v for i, v in vec.items()}
-
-    def internal_from_full(self, k, chain):
-        pos = {j: i for i, j in enumerate(self.allowable.get(k, []))}
-        out = {}
-        for j, v in chain.items():
-            if j not in pos:
-                return None
-            out[pos[j]] = v
-        return out
 
     def homology(self, k):
         H = self._groups.get(k)
@@ -206,10 +200,6 @@ class LatticePerverseComplex:
         self._groups[k] = H
         return H
 
-    generator_chains = PerverseSubcomplex.generator_chains
-    class_coords = PerverseSubcomplex.class_coords
-    class_equal = PerverseSubcomplex.class_equal
-
 
 def perverse_complex(K, p, ring):
     """The perversity-p chain complex of K, cached on K."""
@@ -235,15 +225,10 @@ def intersection_homology(K, p, ring, k):
 
 def inclusion_map(src, dst, k):
     """Degree-k (co)homology map induced by the inclusion of one perverse
-    subcomplex in another."""
-    ring = src.ring
-    cols = []
-    for i in range(src.rank(k)):
-        vec = dst.internal_from_full(k, src.full_from_internal(k, {i: ring.one}))
-        if vec is None:
-            raise AssertionError("perverse subcomplexes are not nested")
-        cols.append(vec)
-    T = Matrix.from_columns(ring, dst.rank(k), cols)
+    subcomplex in another: the source basis solved in the target's."""
+    T = dst.solve(k, src.bases[k])
+    if T is None:
+        raise AssertionError("perverse subcomplexes are not nested")
     return InducedMap(src.homology(k), dst.homology(k), T)
 
 

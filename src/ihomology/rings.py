@@ -3,7 +3,10 @@
 All linear algebra downstream (Smith forms, kernels, homology) is generic
 over a small ring interface: exact arithmetic plus the Bezout data needed
 for elimination over a principal ideal ring.  Three rings are provided:
-the integers Z, the rationals Q, and Z/m for any modulus m >= 2.  Z/m is
+the integers Z, the rationals Q, and Z/m for any modulus m >= 2.  A
+rational is held as a plain int when it is integral and as a reduced
+Fraction otherwise, and every operation returns that form, so
+elimination over Q runs on ints until a true fraction appears.  Z/m is
 a quotient of a PID, so diagonalization still works; its elements are
 kept as canonical lifts in range(m) and Bezout steps are computed on the
 lifts, which keeps every 2x2 transform invertible mod m.
@@ -142,23 +145,34 @@ class IntegerRing(Ring):
         return abs(a)
 
 
+def _canonical(q):
+    """A rational in its canonical form: the int when q is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField(Ring):
+    """Q with each element an int when integral and a reduced Fraction
+    otherwise, so integral arithmetic runs on plain ints."""
+
     name = "Q"
     is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def el(self, x):
-        return Fraction(x)
+        return x if x.__class__ is int else _canonical(Fraction(x))
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int else _canonical(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int else _canonical(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int else _canonical(c)
 
     def neg(self, a):
         return -a
@@ -170,23 +184,26 @@ class RationalField(Ring):
         return a != 0
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def divides(self, a, b):
         return a != 0 or b == 0
 
     def div(self, b, a):
-        return b / a
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(b, a)
+            return Fraction(b, a) if r else q
+        return _canonical(Fraction(b) / a)
 
     def bezout(self, a, b):
         if a != 0:
-            return a, self.one, self.zero, -b / a, self.one
+            return a, 1, 0, self.neg(self.div(b, a)), 1
         if b != 0:
-            return b, self.zero, self.one, self.one, self.zero
-        return self.zero, self.one, self.zero, self.zero, self.one
+            return b, 0, 1, 1, 0
+        return 0, 1, 0, 0, 1
 
     def canonical_unit(self, a):
-        return 1 / a if a else self.one
+        return self.inv(a) if a else 1
 
     def size(self, a):
         return 1

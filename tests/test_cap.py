@@ -7,6 +7,7 @@ import pytest
 from ihomology.blowup import (blown_cap, blowup_complex,
                               cochain_embedding_terms, tuple_flatten,
                               tw_complex)
+import ihomology.cap as cap
 from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
                            check_local_cap_factorization, check_zero_top,
                            classical_cap, classical_cap_local,
@@ -14,7 +15,7 @@ from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
                            duality_map, duality_sign, gm_demo,
                            intersection_cap, leibniz_holds,
                            verify_factorization)
-from ihomology.filtered import parse_complex
+from ihomology.filtered import parse_complex, simplex_sphere
 from ihomology.intersection import comparison_map, perverse_complex
 from ihomology.perversity import clip, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
@@ -185,6 +186,26 @@ def test_verify_factorization(s4, sigma_rp3):
             rep = verify_factorization(space, ring)
             assert rep.ok, (space, ring.name, rep.lines)
             assert rep.lines[-1] == "PASS"
+
+
+def test_factorization_witness_prints_rationals_as_fractions(monkeypatch):
+    # a doubled classical cap splits every class; over Q the witness
+    # shows its entries as Fractions even when they are integral
+    real = cap._cap_matrices
+
+    def doubled(space, ring):
+        classical, blown = real(space, ring)
+        return {k: M.scale(ring.el(2)) for k, M in classical.items()}, blown
+
+    monkeypatch.setattr(cap, "_cap_matrices", doubled)
+    # a fresh space, so no cached cap outlives the test
+    report = verify_factorization(simplex_sphere(1), QQ)
+    assert not report.ok
+    assert [line for line in report.lines if "witness" in line] == [
+        "degree 0: classes split, witness "
+        "{0: Fraction(2, 1), 2: Fraction(2, 1), 1: Fraction(-2, 1)}",
+        "degree 1: classes split, witness {2: Fraction(2, 1)}",
+    ]
 
 
 def test_factorization_generator_counts(s4, sigma_rp3):

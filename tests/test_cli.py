@@ -320,6 +320,27 @@ def test_benchmark_workload_output(workload, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
+# Commands over Q and the sha256 of their stdout: how the rational
+# field represents its elements must not change a byte of what they print.
+RATIONAL_OUTPUTS = {
+    ("ih", "--builtin", "sigma-rp3", "--perversity", "clip:1", "--coeffs", "Q"):
+        "6c8d68f450584eb08cc567b41b4a4f9ea10508679b9d7a802b39f81f386ee67d",
+    ("tw", "--builtin", "sigma-rp3", "--perversity", "zero", "--coeffs", "Q"):
+        "6c8d68f450584eb08cc567b41b4a4f9ea10508679b9d7a802b39f81f386ee67d",
+    ("gm", "--builtin", "rp3", "--perversity", "top", "--coeffs", "Q"):
+        "06097ca91e0329f81599cc1ceab65ecb8eecd24368fd97e8f9f6114aed59d615",
+    ("table", "--builtin", "sigma-rp3", "--coeffs", "Q"):
+        "b11b5520e3d7bcb483ebe7976f608a408ec4eb81fce302d24ac208e5277d0df6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RATIONAL_OUTPUTS), ids=" ".join)
+def test_rational_output(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RATIONAL_OUTPUTS[argv]
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["bogus"]) == 2
 

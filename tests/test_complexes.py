@@ -2,7 +2,8 @@ import pytest
 
 from ihomology.matrices import Matrix
 from ihomology.rings import ZZ, QQ, Zmod
-from ihomology.complexes import ChainMap, PresentedComplex, homology_type_of
+from ihomology.complexes import (ChainMap, PresentedComplex, homology_of,
+                                 homology_type_of)
 
 
 def doubling_complex(ring):
@@ -74,6 +75,15 @@ def test_boundary_squared_checked():
     bad2 = Matrix.from_rows(ZZ, [[1], [0]])
     with pytest.raises(ValueError, match="squared"):
         PresentedComplex(ZZ, {0: 2, 1: 2, 2: 1}, {1: bad1, 2: bad2})
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3), Zmod(4)], ids=str)
+def test_homology_of_rejects_boundaries_outside_the_cycles(R):
+    # bd_in hits a vector that bd_out does not kill
+    bd_out = Matrix.from_rows(R, [[1, 0]])
+    bd_in = Matrix.from_rows(R, [[1], [1]])
+    with pytest.raises(ValueError, match="do not lie in the cycle span"):
+        homology_of(bd_out, bd_in)
 
 
 def test_class_equal_mod_boundary():

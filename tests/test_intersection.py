@@ -8,8 +8,9 @@ from ihomology.filtered import (barycentric_subdivision, builtin, cone,
                                 projective_space, simplex_sphere, suspension)
 from ihomology.intersection import (allowable_indices, cohomology,
                                     comparison_map, gm_cohomology,
-                                    intersection_homology, is_allowable,
-                                    perverse_complex)
+                                    inclusion_map, intersection_homology,
+                                    is_allowable, perverse_complex)
+from ihomology.matrices import Matrix
 from ihomology.perversity import Perversity, clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 from ihomology.snf import hermite_column_form
@@ -249,3 +250,18 @@ def test_ih_mod_four_is_subdivision_invariant():
         for k in range(4):
             assert str(intersection_homology(sd, p, Zmod(4), k)) == str(
                 intersection_homology(K, p, Zmod(4), k)), (p, k)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(5), Zmod(4)], ids=str)
+def test_inclusion_map_matches_per_column_construction(sigma_rp3, ring):
+    # Z/4 takes the lattice presentation, the other rings a free one
+    src = perverse_complex(sigma_rp3, zero(4), ring)
+    dst = perverse_complex(sigma_rp3, top(4), ring)
+    for k in range(5):
+        cols = [dst.internal_from_full(k, src.full_from_internal(k, {i: ring.one}))
+                for i in range(src.rank(k))]
+        assert None not in cols
+        want = Matrix.from_columns(ring, dst.rank(k), cols)
+        assert inclusion_map(src, dst, k).matrix == want
+    with pytest.raises(AssertionError, match="not nested"):
+        inclusion_map(dst, src, 2)
