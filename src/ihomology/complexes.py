@@ -4,12 +4,12 @@ Homology is computed as a subquotient of the ambient chain module: a
 basis of cycles in the canonical echelon form of snf.kernel (the
 Hermite form over Z, the reduced column echelon form over a field, the
 Howell form over a composite Z/m), the boundary columns solved in that
-basis by forward substitution (over a field, where the form is reduced,
-read off its pivot rows), and the Smith form of the result.  This
+basis by snf.hermite_solve, and the Smith form of the result.  This
 gives ranks, torsion, explicit generating cycles, and well-defined
 coordinates of arbitrary cycles in the generators, which is what the
 product and duality checks need; a cycle's coordinates come from the
-same forward substitution.
+same solve, which also rejects boundaries and chains that are not
+cycles, over every ring.
 
 Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
@@ -24,7 +24,6 @@ from .snf import (
     hermite_solve_vector,
     invariant_factors,
     kernel,
-    pivot_columns,
     smith_normal_form,
 )
 
@@ -112,28 +111,18 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
     span(Zb).
 
     Zb is a cycle basis from kernel(), in the echelon form of
-    hermite_column_form, so boundaries and cycles get their cycle
-    coordinates by forward substitution.  Over a field that form is
-    reduced, and a boundary's coordinates are its entries at the pivot
-    rows.  Over a composite Z/m, kernel(Zb) holds the relations among
-    the cycle generators, and a zero diagonal entry of the Smith form
-    gives order m.
+    hermite_column_form, so hermite_solve gives boundaries and cycles
+    their cycle coordinates and rejects a boundary outside the span.
+    Over a composite Z/m, kernel(Zb) holds the relations among the
+    cycle generators, and a zero diagonal entry of the Smith form gives
+    order m.
     """
+    Y = hermite_solve(Zb, B)
+    if Y is None:
+        raise ValueError("boundary columns do not lie in the cycle span")
     z = Zb.ncols
     if z == 0:
         return HomologyGroup.trivial(ring, ambient_dim)
-    pivots = None
-    if ring.is_field:
-        pivots = pivot_columns(Zb)
-        at = {r: j for r, (j, _) in pivots.items()}
-        Bc = B.columns()
-        Y = Matrix.from_columns(ring, z, [
-            {at[r]: v for r, v in sorted(Bc.get(j, {}).items()) if r in at}
-            for j in range(B.ncols)])
-    else:
-        Y = hermite_solve(Zb, B)
-        if Y is None:
-            raise ValueError("boundary columns do not lie in the cycle span")
     free = 0
     if isinstance(ring, ZmodRing) and not ring.is_field:
         Y = Y.hstack(kernel(Zb))
@@ -155,12 +144,7 @@ def _group_from_cycles(ring, ambient_dim, Zb, B):
     U_Y = snfY.U
 
     def coord_fn(v):
-        # over Z and Z/m the pivot map is built on the first call:
-        # homology alone never asks for coordinates
-        nonlocal pivots
-        if pivots is None:
-            pivots = pivot_columns(Zb)
-        w = hermite_solve_vector(Zb, v, pivots)
+        w = hermite_solve_vector(Zb, v)
         if w is None:
             raise ValueError("not a cycle")
         t = U_Y @ w
@@ -184,12 +168,7 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    ring = bd_out.ring
-    # the cycle basis spans exactly ker(bd_out); over a field nothing
-    # else checks that the boundaries lie in it
-    if ring.is_field and not (bd_out @ bd_in).is_zero():
-        raise ValueError("boundary columns do not lie in the cycle span")
-    return _group_from_cycles(ring, bd_out.ncols, kernel(bd_out), bd_in)
+    return _group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
 
 
 def homology_type_of(bd_out, bd_in):

@@ -17,7 +17,6 @@ from itertools import combinations
 
 from .complexes import PresentedComplex
 from .matrices import Matrix
-from .rings import ZZ
 
 
 class NonOrientableError(ValueError):

@@ -17,7 +17,8 @@ cycles modulo the image of the next degree's Howell basis.
 
 from .complexes import HomologyGroup, InducedMap, PresentedComplex, homology_of
 from .matrices import Matrix
-from .snf import hermite_solve, hermite_solve_vector, kernel, pivot_columns
+from .rings import ZmodRing
+from .snf import hermite_solve, hermite_solve_vector, kernel
 
 
 def is_allowable(K, simplex, p):
@@ -90,10 +91,7 @@ class _BasedPerverseChains:
 
     def internal_from_full(self, k, chain):
         """Internal coordinates of a full vector; None if outside."""
-        pivots = self._pivots.get(k)
-        if pivots is None:
-            pivots = self._pivots[k] = pivot_columns(self.bases[k])
-        return hermite_solve_vector(self.bases[k], chain, pivots)
+        return hermite_solve_vector(self.bases[k], chain)
 
     def generator_chains(self, k):
         """Generators of the degree-k (co)homology as full vectors."""
@@ -125,7 +123,6 @@ class PerverseSubcomplex(_BasedPerverseChains):
         self.ring = ring
         self.step = step
         self.bases = {}
-        self._pivots = {}
         for k in range(top + 1):
             good = set(allowable(k + step))
             bad = [i for i in range(dim(k + step)) if i not in good]
@@ -169,7 +166,6 @@ class LatticePerverseComplex(_BasedPerverseChains):
         self.bases = {k: Matrix(ring, len(K.simplices(k)), len(cols),
                                 {j: {i: ring.one} for i, j in enumerate(cols)})
                       for k, cols in self.allowable.items()}
-        self._pivots = {}
         self._groups = {}
 
     def homology(self, k):
@@ -208,7 +204,7 @@ def perverse_complex(K, p, ring):
     if C is None:
         if p.n != K.n:
             raise ValueError("perversity length does not match the filtration")
-        if ring.name.startswith("Z/") and not ring.is_field:
+        if isinstance(ring, ZmodRing) and not ring.is_field:
             C = LatticePerverseComplex(K, p, ring)
         else:
             C = PerverseSubcomplex(
@@ -268,7 +264,7 @@ def gm_cochain_complex(K, p, ring):
     Available over the integers and over fields, where the perverse
     complex is a complex of finitely generated free modules.
     """
-    if ring.name.startswith("Z/") and not ring.is_field:
+    if isinstance(ring, ZmodRing) and not ring.is_field:
         raise ValueError("dual complexes need integer or field coefficients")
     key = ("gm_cochain", p.values, ring.name)
     C = K.cache.get(key)

@@ -21,9 +21,10 @@ in that form from one elimination for every ring (kernel): each row
 pivots at its rightmost column when that entry is a unit and is set
 aside when it is not, and only the residual of the set-aside rows goes
 through the echelon form of itself stacked on the identity
-(integer_kernel).  A vector is written in such a basis by forward
-substitution down the pivot staircase (hermite_solve_vector), with no
-transforms, over every ring.
+(integer_kernel).  Vectors are written in such a basis by one solve
+for every ring (hermite_solve), with no transforms: forward
+substitution on the pivot rows gives the coordinates, and one product
+with the basis checks that every vector lies in its span.
 """
 
 import heapq
@@ -673,49 +674,46 @@ def kernel(M):
     return V @ Matrix.from_columns(R, len(free), [y for _, y in Y])
 
 
-def pivot_columns(B):
-    """Pivot row -> (column index, column) of B in column echelon form."""
-    return {min(col): (j, col) for j, col in B.columns().items() if col}
+def hermite_solve(B, C):
+    """Solve B X == C for B from hermite_column_form; None if some column
+    of C lies outside the span of B's columns.
 
-
-def hermite_solve_vector(B, c, pivots=None):
-    """Solve B x = c for B from hermite_column_form; None if unsolvable.
-
-    Forward substitution down the pivot staircase, over any ring: the
-    lowest row left in the residual must be a pivot row, and its column
-    clears it (over a composite Z/m the Howell property makes this
-    complete).  Only the residual's pivot rows are visited, and
-    no transforms are needed.  pivots is pivot_columns(B), for callers
-    that solve many vectors against one basis.
+    Forward substitution on B's pivot rows in ascending order, one row
+    of X at a time, over any ring and with no transforms.  Column j of B
+    has its pivot p at row r, and the later columns vanish there, so row
+    r of B X == C fixes row j of X from the rows before it.  A pivot row
+    that holds only its pivot 1 (every one over a field, nearly every
+    one of a cycle basis over Z) gives row j of X as row r of C.  At any
+    other pivot row the earlier rows of X are subtracted first, and p
+    must divide what is left.  One product B X == C then checks the rows
+    that are not pivot rows, the same way over every ring: a vector of
+    the span vanishing above a pivot row is spanned by the columns
+    pivoting at or below it (over a composite Z/m by the Howell
+    property), so the substitution finds every solvable column.
     """
     R = B.ring
-    if pivots is None:
-        pivots = pivot_columns(B)
-    residual = dict(c)
-    x = {}
-    while residual:
-        r = min(residual)
-        hit = pivots.get(r)
-        if hit is None:
-            return None
-        j, col = hit
-        v, p = residual[r], col[r]
-        if not R.divides(p, v):
-            return None
-        q = R.div(v, p)
-        x[j] = q
-        _axpy(R, residual, col, R.neg(q))
-    return x
+    Bc = B.columns()
+    X = {}
+    for j in range(B.ncols):
+        r = min(Bc[j])
+        row = B.rows[r]
+        x = dict(C.rows.get(r, ()))
+        p = row[j]
+        if len(row) > 1 or p != R.one:
+            for l, b in row.items():
+                if l in X:
+                    _axpy(R, x, X[l], R.neg(b))
+            if not all(R.divides(p, v) for v in x.values()):
+                return None
+            x = {k: R.div(v, p) for k, v in x.items()}
+        if x:
+            X[j] = x
+    X = Matrix(R, B.ncols, C.ncols, X)
+    return X if B @ X == C else None
 
 
-def hermite_solve(B, C):
-    """Columnwise hermite_solve_vector; returns a matrix X with B X = C."""
-    pivots = pivot_columns(B)
-    Ccols = C.columns()
-    out = []
-    for j in range(C.ncols):
-        x = hermite_solve_vector(B, Ccols.get(j, {}), pivots)
-        if x is None:
-            return None
-        out.append(x)
-    return Matrix.from_columns(B.ring, B.ncols, out)
+def hermite_solve_vector(B, c):
+    """hermite_solve for one vector c, a sparse dict; returns the sparse
+    x with B x == c, or None if c lies outside the span of B."""
+    X = hermite_solve(B, Matrix.from_columns(B.ring, B.nrows, [c]))
+    return None if X is None else X.column(0)

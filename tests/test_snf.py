@@ -279,6 +279,65 @@ def test_hermite_solve_vector_off_the_span():
     assert hermite_solve_vector(B, {0: 4}) == {0: 2}
 
 
+def residual_walk_solve(B, c):
+    """B x == c by the residual walk hermite_solve_vector once ran, for
+    the reference: clear the residual's lowest row with the column that
+    pivots there, and fail at a row no column pivots at."""
+    R = B.ring
+    pivots = {min(col): (j, col) for j, col in B.columns().items()}
+    residual = dict(c)
+    x = {}
+    while residual:
+        r = min(residual)
+        if r not in pivots:
+            return None
+        j, col = pivots[r]
+        if not R.divides(col[r], residual[r]):
+            return None
+        q = x[j] = R.div(residual[r], col[r])
+        for i, e in col.items():
+            w = R.sub(residual.get(i, R.zero), R.mul(q, e))
+            if R.is_zero(w):
+                residual.pop(i, None)
+            else:
+                residual[i] = w
+    return x
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(5), Zmod(4), Zmod(6), Zmod(12)],
+                         ids=["Z", "Q", "Z5", "Z4", "Z6", "Z12"])
+def test_hermite_solve_matches_the_residual_walk(R):
+    # the same X column by column, or None exactly when some column of C
+    # is off the span; bases include non-unit pivot rows whose earlier
+    # columns are nonzero there, except over fields, where none exist
+    rng = random.Random(47)
+    mixed_pivot_rows = 0
+    off_span = 0
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        cols = random_columns(rng, R, n, rng.randrange(1, 5))
+        B = hermite_column_form(Matrix.from_columns(R, n, cols))
+        for j, col in B.columns().items():
+            row = B.rows[min(col)]
+            if row[j] != R.one and len(row) > 1:
+                mixed_pivot_rows += 1
+        inside = []
+        for _ in range(3):
+            x = {j: R.el(rng.randrange(-4, 5)) for j in range(B.ncols)}
+            inside.append(B @ {j: v for j, v in x.items() if not R.is_zero(v)})
+        outside = random_columns(rng, R, n, 2)
+        for C_cols in (inside, inside + outside[:1], outside[1:] + inside):
+            ref = [residual_walk_solve(B, c) for c in C_cols]
+            X = hermite_solve(B, Matrix.from_columns(R, n, C_cols))
+            if any(x is None for x in ref):
+                off_span += 1
+                assert X is None
+            else:
+                assert X == Matrix.from_columns(R, B.ncols, ref)
+    assert off_span
+    assert mixed_pivot_rows or R.is_field
+
+
 def random_matrix(rng, R, i):
     """The i-th matrix of a mix: zero (empty shapes included), random of
     random density, full rank, and a product through a narrower rank."""
