@@ -12,14 +12,15 @@ so the assembled complex has one basis element per realized tuple.
 The perverse degree of a tuple measures, stratum by stratum, how far it
 sticks out of the apex direction; bounding it and the perverse degree
 of the coboundary by a perversity carves out the subcomplex whose
-cohomology is computed here.  The simplex-to-blowup comparison maps
-(cochain embedding and chain blow-down) live here too; cap products are
-in cap.py.
+cohomology is computed here, by intersection.PerverseSubcomplex in full
+tuple coordinates.  The simplex-to-blowup comparison maps live here
+too: the cochain embedding, a chain map into the whole blown-up
+complex, and the chain blow-down; cap products are in cap.py.
 """
 
 from itertools import combinations, product
 
-from .complexes import ChainMap
+from .complexes import ChainMap, InducedMap, PresentedComplex
 from .intersection import (PerverseSubcomplex, cochain_complex, inclusion_map,
                            perverse_basis)
 from .matrices import Matrix
@@ -273,17 +274,22 @@ class BlowupComplex:
             rows = {}
             for (i, j), sign in store.items():
                 rows.setdefault(i, {})[j] = sign
-            self._D[k] = Matrix(ZZ, self.dim(k + 1), self.dim(k), rows)
+            self._D[k, ZZ.name] = Matrix(ZZ, self.dim(k + 1), self.dim(k),
+                                         rows)
         self._allowable = {}
         self._embedding = None
 
     def dim(self, k):
         return len(self.tuples.get(k, ()))
 
-    def differential(self, k):
-        M = self._D.get(k)
+    def differential(self, k, ring=ZZ):
+        """Coboundary from degree k to degree k + 1, over ring (cached)."""
+        M = self._D.get((k, ring.name))
         if M is None:
-            return Matrix(ZZ, self.dim(k + 1), self.dim(k))
+            M = self._D.get((k, ZZ.name))
+            if M is None:
+                M = Matrix(ZZ, self.dim(k + 1), self.dim(k))
+            M = self._D[k, ring.name] = M.map_ring(ring)
         return M
 
     def allowable_indices(self, k, p):
@@ -337,8 +343,7 @@ def blowup_complex(space):
 def tw_complex(space, p, ring):
     """Perversity-bounded subcomplex of the blown-up cochains, based.
 
-    Its homology(k) is the blown-up cohomology in degree k, stored in
-    its complex at degree -k."""
+    Its homology(k) is the blown-up cohomology in degree k."""
     key = ("tw", p.values, ring.name)
     T = space.cache.get(key)
     if T is None:
@@ -349,8 +354,9 @@ def tw_complex(space, p, ring):
             raise ValueError("perversity depth does not match the filtration")
         B = blowup_complex(space)
         T = space.cache[key] = PerverseSubcomplex(
-            ring, B.top, B.dim, B.differential,
-            lambda k: B.allowable_indices(k, p), 1)
+            ring, B.top, B.dim, lambda k: B.differential(k, ring),
+            lambda k: B.allowable_indices(k, p), 1,
+            space.cache.setdefault(("tw_cycles", ring.name), {}))
     return T
 
 
@@ -367,24 +373,25 @@ def tw_comparison(space, p, q, ring, k):
                          tw_complex(space, q, ring), k)
 
 
-def cochain_embedding(space, p, ring):
-    """Chain map realizing ordinary cochains inside the perversity-p
-    blown-up subcomplex (the embedding lands in the zero-perversity part,
-    which sits inside every GM perversity)."""
-    tw = tw_complex(space, p, ring)
+def cochain_embedding(space, ring):
+    """Chain map realizing ordinary cochains as blown-up cochains, into
+    the whole blown-up complex stored at negated degrees."""
     B = blowup_complex(space)
-    components = {}
-    for k in range(B.top + 1):
-        if not len(space.simplices(k)) or not tw.rank(k):
-            continue
-        Mk = B.embedding_matrix(k).map_ring(ring)
-        sol = tw.solve(k, Mk)
-        if sol is None:
-            raise AssertionError("embedding leaves the perverse subcomplex")
-        components[-k] = sol
-    return ChainMap(cochain_complex(space, ring), tw.complex, components)
+    target = PresentedComplex(
+        ring, {-k: B.dim(k) for k in range(B.top + 1)},
+        {-k: B.differential(k, ring) for k in range(B.top)}, check=False)
+    components = {-k: B.embedding_matrix(k).map_ring(ring)
+                  for k in range(space.n + 1)}
+    return ChainMap(cochain_complex(space, ring), target, components)
 
 
 def cochain_embedding_induced(space, p, ring, k):
-    """The embedding H^k(X) -> H^k of the perversity-p blown-up complex."""
-    return cochain_embedding(space, p, ring).induced(-k)
+    """The embedding H^k(X) -> H^k of the perversity-p blown-up complex
+    (it lands in the zero-perversity part, which sits inside every GM
+    perversity)."""
+    tw = tw_complex(space, p, ring)
+    M = blowup_complex(space).embedding_matrix(k).map_ring(ring)
+    if not tw.contains(k, M):
+        raise AssertionError("embedding leaves the perverse subcomplex")
+    return InducedMap(cochain_complex(space, ring).homology(-k),
+                      tw.homology(k), M)

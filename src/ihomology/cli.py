@@ -85,19 +85,18 @@ def _load_space(args):
 def _degree_list(text, n):
     if text is None:
         return list(range(n + 1))
-    if ".." in text:
-        a, _, b = text.partition("..")
-        try:
-            lo, hi = int(a), int(b)
-        except ValueError:
-            raise ValueError(f"bad degree range {text!r}") from None
-        if lo > hi:
-            raise ValueError(f"empty degree range {text!r}")
-        return list(range(lo, hi + 1))
+    a, dots, b = text.partition("..")
     try:
-        return [int(text)]
+        lo, hi = int(a), int(b if dots else a)
     except ValueError:
-        raise ValueError(f"bad degree {text!r}") from None
+        what = "degree range" if dots else "degree"
+        raise ValueError(f"bad {what} {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"empty degree range {text!r}")
+    for k in (lo, hi):
+        if not 0 <= k <= n:
+            raise ValueError(f"degree {k} is outside 0..{n}")
+    return list(range(lo, hi + 1))
 
 
 def _emit_groups(rows, fmt, out):

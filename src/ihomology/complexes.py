@@ -106,12 +106,13 @@ class HomologyGroup:
         return f"<HomologyGroup {self} over {self.ring.name}>"
 
 
-def _group_from_cycles(ring, ambient_dim, Zb, B):
+def group_from_cycles(ring, ambient_dim, Zb, B):
     """Homology of span(Zb columns) / span(B columns), for B inside
     span(Zb).
 
-    Zb is a cycle basis from kernel(), in the echelon form of
-    hermite_column_form, so hermite_solve gives boundaries and cycles
+    Zb is a cycle basis in the echelon form of hermite_column_form
+    (from kernel(), or the cycles on the allowable elements of a
+    perverse complex), so hermite_solve gives boundaries and cycles
     their cycle coordinates and rejects a boundary outside the span.
     Over a composite Z/m, kernel(Zb) holds the relations among the
     cycle generators, and a zero diagonal entry of the Smith form gives
@@ -168,7 +169,7 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    return _group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
+    return group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
 
 
 def homology_type_of(bd_out, bd_in):
@@ -287,6 +288,19 @@ class InducedMap:
         self.target = target
         self.matrix = matrix
         self.image_coords = [target.coords(matrix @ rep) for rep in source.reps]
+
+    def image(self, coords):
+        """Target coordinates of the image of the class with the given
+        source coordinates, reduced mod the target orders as
+        HomologyGroup.coords reduces them."""
+        R = self.target.ring
+        out = []
+        for j, o in enumerate(self.target.orders):
+            c = R.zero
+            for a, im in zip(coords, self.image_coords):
+                c = R.add(c, R.mul(a, im[j]))
+            out.append(c % o if o else c)
+        return tuple(out)
 
     def is_surjective(self):
         tgt = self.target

@@ -6,19 +6,26 @@ an empty part passes every bound.  The perverse complex in degree k
 consists of the chains supported on allowable simplices whose
 boundaries are again supported on allowable simplices.
 
-Over the integers and over fields these are free modules and the
-complex is presented by explicit bases.  The builder takes any based
+One class, PerverseSubcomplex, serves every ring: it takes any based
 complex with an allowability predicate, so the blown-up cochains of
-blowup.py use it too.  Over Z/m with m composite the submodule need
-not be free, and its Howell basis does not present a chain complex;
-each homology group is then computed over the allowable simplices, as
-cycles modulo the image of the next degree's Howell basis.
+blowup.py use it too, and it works in the full coordinates of that
+complex.  Homology in degree k is the cycles on the allowable basis
+elements modulo the image of the next degree's perverse basis, so the
+inclusion across perversities is the identity and a cap lands in the
+perverse chains without a change of basis.  Over Z/m with m composite
+the perverse submodule need not be free, but its Howell basis spans
+it, which is all the boundaries need.  Over the integers and over
+fields the perverse bases also present the complex, which the dual
+complex of gm_cochain_complex is built from.
 """
 
-from .complexes import HomologyGroup, InducedMap, PresentedComplex, homology_of
+from functools import cached_property
+
+from .complexes import (HomologyGroup, InducedMap, PresentedComplex,
+                        group_from_cycles)
 from .matrices import Matrix
 from .rings import ZmodRing
-from .snf import hermite_solve, hermite_solve_vector, kernel
+from .snf import hermite_solve, kernel
 
 
 def is_allowable(K, simplex, p):
@@ -47,7 +54,7 @@ def perverse_basis(ring, D, nk, cols, bad):
     """Basis of the chains on the columns cols whose image under D misses
     the rows bad, in full coordinates over nk basis elements.
 
-    D is the differential out of the degree, over Z or over ring.  The
+    D is the differential out of the degree, over ring.  The
     basis is in the echelon form of hermite_column_form: column-Hermite
     over Z, reduced column echelon over a field, Howell over a
     composite Z/m.  The kernel on cols is already in that form, and
@@ -56,11 +63,8 @@ def perverse_basis(ring, D, nk, cols, bad):
     """
     if not cols:
         return Matrix.zeros(ring, nk, 0)
-    if not bad:
-        ker = Matrix.identity(ring, len(cols))
-    else:
-        sub = D.submatrix(bad, cols)
-        ker = kernel(sub if sub.ring is ring else sub.map_ring(ring))
+    ker = (kernel(D.submatrix(bad, cols)) if bad
+           else Matrix.identity(ring, len(cols)))
     rows = {}
     for jj, j in enumerate(cols):
         r = ker.rows.get(jj)
@@ -69,132 +73,86 @@ def perverse_basis(ring, D, nk, cols, bad):
     return Matrix(ring, nk, ker.ncols, rows)
 
 
-class _BasedPerverseChains:
-    """Chains addressed in two coordinate systems: 'full' vectors over
-    all basis elements of a degree, and internal coordinates in
-    bases[k], whose columns are full vectors in the echelon form of
-    hermite_column_form.  All public methods speak full coordinates."""
-
-    def solve(self, k, image):
-        """Internal coordinates of the columns of image, a matrix over
-        the degree-k full basis; None if a column lies outside."""
-        return hermite_solve(self.bases[k], image)
-
-    def rank(self, k):
-        """Number of presentation generators in degree k."""
-        B = self.bases.get(k)
-        return B.ncols if B is not None else 0
-
-    def full_from_internal(self, k, vec):
-        """Full vector from internal presentation coordinates."""
-        return self.bases[k] @ vec
-
-    def internal_from_full(self, k, chain):
-        """Internal coordinates of a full vector; None if outside."""
-        return hermite_solve_vector(self.bases[k], chain)
-
-    def generator_chains(self, k):
-        """Generators of the degree-k (co)homology as full vectors."""
-        H = self.homology(k)
-        return [self.full_from_internal(k, rep) for rep in H.reps]
-
-    def class_coords(self, k, chain):
-        """(Co)homology coordinates of a full-coordinate cycle."""
-        vec = self.internal_from_full(k, chain)
-        if vec is None:
-            raise ValueError("chain is not in the perverse subcomplex")
-        return self.homology(k).coords(vec)
-
-    def class_equal(self, k, c1, c2):
-        return self.class_coords(k, c1) == self.class_coords(k, c2)
-
-
-class PerverseSubcomplex(_BasedPerverseChains):
-    """The perverse subcomplex of a based complex over Z or a field.
+class PerverseSubcomplex:
+    """The perverse subcomplex of a based complex, over any ring, in the
+    full coordinates of the ambient complex.
 
     Degree k has dim(k) basis elements, differential(k) maps it to
-    degree k + step (step -1 for chains, +1 for cochains), and
-    allowable(k) lists the allowable basis elements.  Degree k is stored
-    in `complex` at -step * k, so the presented differential lowers the
-    degree either way.  bases[k] is the perverse basis of degree k.
+    degree k + step over the ring (step -1 for chains, +1 for
+    cochains), and allowable(k) lists the allowable basis elements, for
+    k in 0..top.  bases[k] is the perverse basis of degree k.  A cycle
+    basis depends only on the allowable set, so the creator passes in
+    one dict, keyed by (k, allowable set), that every perversity shares.
     """
 
-    def __init__(self, ring, top, dim, differential, allowable, step):
+    def __init__(self, ring, top, dim, differential, allowable, step,
+                 cycles):
         self.ring = ring
         self.step = step
+        self.dim = dim
+        self.differential = differential
+        self.allowable = allowable
+        self._cycles = cycles
+        self._groups = {}
         self.bases = {}
         for k in range(top + 1):
             good = set(allowable(k + step))
             bad = [i for i in range(dim(k + step)) if i not in good]
             self.bases[k] = perverse_basis(ring, differential(k), dim(k),
                                            allowable(k), bad)
-        dims = {-step * k: B.ncols for k, B in self.bases.items()}
+
+    def rank(self, k):
+        """Number of perverse basis elements in degree k."""
+        B = self.bases.get(k)
+        return B.ncols if B is not None else 0
+
+    def contains(self, k, M):
+        """Whether every column of M, over the degree-k basis, is a
+        perverse (co)chain: allowable, with an allowable image."""
+        return (set(self.allowable(k)).issuperset(M.rows)
+                and set(self.allowable(k + self.step)).issuperset(
+                    (self.differential(k) @ M).rows))
+
+    def homology(self, k):
+        """Degree-k (co)homology: the cycles on the allowable basis
+        elements modulo the image of the perverse basis one degree up
+        (down for cochains)."""
+        H = self._groups.get(k)
+        if H is None:
+            if k not in self.bases:
+                return HomologyGroup.trivial(self.ring)
+            D = self.differential(k)
+            cols = self.allowable(k)
+            key = (k, tuple(cols))
+            Z = self._cycles.get(key)
+            if Z is None:
+                Z = self._cycles[key] = perverse_basis(
+                    self.ring, D, self.dim(k), cols, range(D.nrows))
+            t = k - self.step
+            if t in self.bases:
+                bd = self.differential(t) @ self.bases[t]
+            else:
+                bd = Matrix.zeros(self.ring, self.dim(k), 0)
+            H = self._groups[k] = group_from_cycles(self.ring, self.dim(k),
+                                                     Z, bd)
+        return H
+
+    @cached_property
+    def complex(self):
+        """The complex presented in the perverse bases, over Z or a
+        field, with degree k at -step * k so that the presented
+        differential lowers the degree either way."""
+        dims = {-self.step * k: B.ncols for k, B in self.bases.items()}
         boundaries = {}
-        for k in range(top + 1):
-            t = k + step
-            if 0 <= t <= top and self.rank(k) and self.rank(t):
-                D = differential(k)
-                if D.ring is not ring:
-                    D = D.map_ring(ring)
-                M = self.solve(t, D @ self.bases[k])
+        for k, B in self.bases.items():
+            t = k + self.step
+            if self.rank(t) and B.ncols:
+                M = hermite_solve(self.bases[t], self.differential(k) @ B)
                 if M is None:
                     raise AssertionError(
                         "differential left the perverse subcomplex")
-                boundaries[-step * k] = M
-        self.complex = PresentedComplex(ring, dims, boundaries, check=True)
-
-    def homology(self, k):
-        return self.complex.homology(-self.step * k)
-
-
-class LatticePerverseComplex(_BasedPerverseChains):
-    """Perverse chains over Z/m with m composite.
-
-    The submodule need not be free, so a basis of it does not present a
-    chain complex.  Homology in degree k is computed over the allowable
-    k-simplices instead: the cycles there, modulo the image of the
-    degree-(k+1) perverse basis from perverse_basis.  bases[k] holds the
-    allowable k-simplices as columns, so internal coordinates are plain
-    coordinates over the allowable simplices.
-    """
-
-    def __init__(self, K, p, ring):
-        self.space = K
-        self.ring = ring
-        self.allowable = {k: allowable_indices(K, k, p)
-                          for k in range(K.top_dim() + 1)}
-        self.bases = {k: Matrix(ring, len(K.simplices(k)), len(cols),
-                                {j: {i: ring.one} for i, j in enumerate(cols)})
-                      for k, cols in self.allowable.items()}
-        self._groups = {}
-
-    def homology(self, k):
-        H = self._groups.get(k)
-        if H is not None:
-            return H
-        K, ring = self.space, self.ring
-        cols = self.allowable.get(k, [])
-        if not cols:
-            H = HomologyGroup.trivial(ring)
-            self._groups[k] = H
-            return H
-        # cycles: kernel of the unrestricted boundary on allowable chains
-        all_rows = list(range(len(K.simplices(k - 1)))) if k else []
-        out = K.boundary_matrix(k, ring).submatrix(all_rows, cols)
-        # boundaries: images of the degree-(k+1) perverse basis, which
-        # miss the non-allowable k-simplices
-        up = self.allowable.get(k + 1, [])
-        if up:
-            D = K.boundary_matrix(k + 1, ring)
-            good = set(cols)
-            bad = [i for i in range(len(K.simplices(k))) if i not in good]
-            B = perverse_basis(ring, D, len(K.simplices(k + 1)), up, bad)
-            inn = (D @ B).submatrix(cols, range(B.ncols))
-        else:
-            inn = Matrix.zeros(ring, len(cols), 0)
-        H = homology_of(out, inn)
-        self._groups[k] = H
-        return H
+                boundaries[-self.step * k] = M
+        return PresentedComplex(self.ring, dims, boundaries, check=True)
 
 
 def perverse_complex(K, p, ring):
@@ -204,14 +162,11 @@ def perverse_complex(K, p, ring):
     if C is None:
         if p.n != K.n:
             raise ValueError("perversity length does not match the filtration")
-        if isinstance(ring, ZmodRing) and not ring.is_field:
-            C = LatticePerverseComplex(K, p, ring)
-        else:
-            C = PerverseSubcomplex(
-                ring, K.top_dim(), lambda k: len(K.simplices(k)),
-                lambda k: K.boundary_matrix(k, ring),
-                lambda k: allowable_indices(K, k, p), -1)
-        K.cache[key] = C
+        C = K.cache[key] = PerverseSubcomplex(
+            ring, K.top_dim(), lambda k: len(K.simplices(k)),
+            lambda k: K.boundary_matrix(k, ring),
+            lambda k: allowable_indices(K, k, p), -1,
+            K.cache.setdefault(("perverse_cycles", ring.name), {}))
     return C
 
 
@@ -221,11 +176,11 @@ def intersection_homology(K, p, ring, k):
 
 def inclusion_map(src, dst, k):
     """Degree-k (co)homology map induced by the inclusion of one perverse
-    subcomplex in another: the source basis solved in the target's."""
-    T = dst.solve(k, src.bases[k])
-    if T is None:
+    subcomplex in another, the identity in full coordinates."""
+    if not dst.contains(k, src.bases[k]):
         raise AssertionError("perverse subcomplexes are not nested")
-    return InducedMap(src.homology(k), dst.homology(k), T)
+    return InducedMap(src.homology(k), dst.homology(k),
+                      Matrix.identity(src.ring, src.dim(k)))
 
 
 def comparison_map(K, p, q, ring, k):

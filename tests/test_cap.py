@@ -17,6 +17,7 @@ from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
                            verify_factorization)
 from ihomology.filtered import parse_complex, simplex_sphere
 from ihomology.intersection import comparison_map, perverse_complex
+from ihomology.matrices import Matrix
 from ihomology.perversity import clip, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 
@@ -144,7 +145,13 @@ def test_duality_rejects_composite(s4):
 def test_fundamental_class_is_zero_allowable(sigma_rp3):
     fc = sigma_rp3.fundamental_class(ZZ)
     pc = perverse_complex(sigma_rp3, zero(4), ZZ)
-    assert pc.internal_from_full(4, fc) is not None
+    n4 = len(sigma_rp3.simplices(4))
+    assert pc.contains(4, Matrix.from_columns(ZZ, n4, [fc]))
+    # one top simplex through an apex is allowable, but its boundary
+    # holds non-allowable tetrahedra through that apex
+    apex = next(j for j, s in enumerate(sigma_rp3.simplices(4)) if s[0] == 0)
+    assert apex in pc.allowable(4)
+    assert not pc.contains(4, Matrix.from_columns(ZZ, n4, [{apex: 1}]))
 
 
 def test_zero_top_truth_table(s4, sigma_rp3):
@@ -191,13 +198,12 @@ def test_verify_factorization(s4, sigma_rp3):
 def test_factorization_witness_prints_rationals_as_fractions(monkeypatch):
     # a doubled classical cap splits every class; over Q the witness
     # shows its entries as Fractions even when they are integral
-    real = cap._cap_matrices
+    real = cap._classical_caps
 
     def doubled(space, ring):
-        classical, blown = real(space, ring)
-        return {k: M.scale(ring.el(2)) for k, M in classical.items()}, blown
+        return {k: M.scale(ring.el(2)) for k, M in real(space, ring).items()}
 
-    monkeypatch.setattr(cap, "_cap_matrices", doubled)
+    monkeypatch.setattr(cap, "_classical_caps", doubled)
     # a fresh space, so no cached cap outlives the test
     report = verify_factorization(simplex_sphere(1), QQ)
     assert not report.ok

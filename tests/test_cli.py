@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ihomology
+import ihomology.cap as cap
 from ihomology.cli import main
 
 
@@ -229,6 +230,38 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal error: differential left the perverse subcomplex\n"
+
+
+@pytest.mark.parametrize("caps, what", [("_classical_caps", "zero-top"),
+                                         ("_blown_caps", "factorization")],
+                         ids=["classical", "blown-up"])
+def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, caps,
+                                              what):
+    # the input is valid, so a cap that fails its chain-map check is a
+    # broken invariant, not bad input; nothing broken gets cached, since
+    # both checks run before their results are stored
+    real = getattr(cap, caps)
+
+    def broken(space, ring):
+        mats = dict(real(space, ring))
+        mats[1] = mats[1].scale(ring.el(2))
+        return mats
+
+    monkeypatch.setattr(cap, caps, broken)
+    code, out, err = run_cli(capsys, "verify", what, "--builtin", "s2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and "chain map" in err
+
+
+def test_degree_outside_the_dimension_rejected(capsys):
+    for degree, bad in (("5", "5"), ("-1", "-1"), ("2..5", "5"),
+                        ("0..1000000000000", "1000000000000")):
+        code, out, err = run_cli(capsys, "homology", "--builtin", "s4",
+                                 "--degree", degree)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: degree {bad} is outside 0..4\n"
 
 
 def test_unknown_builtin_is_rejected(capsys):
