@@ -1,12 +1,16 @@
 """Cap products and duality maps on filtered simplicial pseudomanifolds.
 
-Two caps live here.  The classical cap evaluates a simplicial cochain
-on the front face of a simplex and keeps the back face.  The blown-up
-cap pairs a perversity-bounded blown cochain with a chain: on every
-regular simplex it restricts the cochain to the local blowup, caps
-factorwise against the blown top chain, blows the result down and
-pushes it forward; non-regular simplices contribute nothing, and both
-global caps use that convention.
+Two caps live here, and one builder, _cap_matrix, gives every entry
+of both, against the fundamental class and against any chain.  The
+classical cap evaluates a simplicial cochain on the front face of a
+simplex and keeps the back face.  The blown-up cap pairs a
+perversity-bounded blown cochain with a chain: on every regular simplex
+it restricts the cochain to the local blowup, caps factorwise against
+the blown top chain, blows the result down and pushes it forward.  The
+builder tells them apart only by each simplex's list of terms;
+non-regular simplices contribute nothing to either.  The one cap
+computed apart from it is check_local_cap_factorization, which caps
+blown_cap by blown_cap as an independent local oracle.
 
 Capping with the fundamental class gives the duality maps, with a
 degree sign that makes them commute on the nose:
@@ -79,19 +83,9 @@ def _cap_support(parts):
     blown top chain survives the blow-down, with sign and image face,
     grouped by degree."""
     n = len(parts) - 1
-    opts = []
-    for i, P in enumerate(parts):
-        o = []
-        if i == n:
-            for r in range(len(P)):
-                o.append((P[:r + 1], 0))
-        elif P:
-            for r in range(len(P)):
-                o.append((P[:r + 1], 0))
-            o.append((P, 1))
-        else:
-            o.append(((), 1))
-        opts.append(o)
+    # front faces of every part, and the whole part on each cone factor
+    opts = [[(P[:r + 1], 0) for r in range(len(P))]
+            + ([(P, 1)] if i < n else []) for i, P in enumerate(parts)]
     out = {}
     for b in product(*opts):
         sign, t = blown_cap(b, parts)
@@ -115,13 +109,40 @@ def _support_of(space, si, m):
     return sup
 
 
-def _add_to(ring, vec, i, c):
-    """vec[i] += c in place, dropping a zero."""
-    v = ring.add(vec.get(i, ring.zero), c)
-    if ring.is_zero(v):
-        vec.pop(i, None)
+def _cap_matrix(space, ring, k, m, xi, blown):
+    """Matrix of w -> w cap xi for a degree-m chain xi, keyed by
+    m-simplex indices.
+
+    Its columns are the degree-k blown-up tuples when blown is set, and
+    the k-simplices otherwise; its rows are the (m-k)-simplices.  The
+    non-regular simplices of xi are skipped.  The two caps differ only
+    in each simplex's term list: the classical cap has one term, front
+    face to back face with sign +1, and the blown-up cap has the
+    simplex's cap support in degree k.
+    """
+    if blown:
+        B = blowup_complex(space)
+        ncols, column = B.dim(k), lambda b: B.index[b][1]
     else:
-        vec[i] = v
+        ncols, column = len(space.simplices(k)), space.index_of
+    rows = {}
+    # a degree-k cochain caps every chain of lower degree to zero
+    for si, x in (xi.items() if k <= m else ()):
+        s = space.simplices(m)[si]
+        if ring.is_zero(x) or not space.is_regular(s):
+            continue
+        if blown:
+            terms = _support_of(space, si, m).get(k, ())
+        else:
+            terms = ((s[:k + 1], 1, space.index_of(s[k:])),)
+        for key, sg, gi in terms:
+            row, j = rows.setdefault(gi, {}), column(key)
+            row[j] = ring.add(row.get(j, ring.zero),
+                              ring.neg(x) if sg < 0 else x)
+    rows = {gi: {j: v for j, v in row.items() if not ring.is_zero(v)}
+            for gi, row in rows.items()}
+    return Matrix(ring, len(space.simplices(m - k)), ncols,
+                  {gi: row for gi, row in rows.items() if row})
 
 
 def intersection_cap(space, ring, k, omega, m, xi):
@@ -131,19 +152,9 @@ def intersection_cap(space, ring, k, omega, m, xi):
     is keyed by (m-k)-simplex indices.  Simplices that miss the top
     stratum are skipped.
     """
-    out = {}
-    for si, x in xi.items():
-        if ring.is_zero(x):
-            continue
-        if not space.is_regular(space.simplices(m)[si]):
-            continue
-        for b, sg, gi in _support_of(space, si, m).get(k, ()):
-            w = omega.get(b)
-            if w is None or ring.is_zero(w):
-                continue
-            term = ring.mul(w, x)
-            _add_to(ring, out, gi, ring.neg(term) if sg < 0 else term)
-    return out
+    B = blowup_complex(space)
+    return _cap_matrix(space, ring, k, m, xi, True) @ {
+        B.index[b][1]: w for b, w in omega.items()}
 
 
 def classical_cap(space, ring, k, omega, m, xi):
@@ -152,18 +163,7 @@ def classical_cap(space, ring, k, omega, m, xi):
     omega is keyed by k-simplex indices, xi by m-simplex indices; the
     non-regular simplices of xi are skipped, as in the blown-up cap.
     """
-    out = {}
-    for si, x in xi.items():
-        if ring.is_zero(x):
-            continue
-        s = space.simplices(m)[si]
-        if not space.is_regular(s):
-            continue
-        w = omega.get(space.index_of(tuple(s[:k + 1])))
-        if w is None or ring.is_zero(w):
-            continue
-        _add_to(ring, out, space.index_of(tuple(s[k:])), ring.mul(w, x))
-    return out
+    return _cap_matrix(space, ring, k, m, xi, False) @ omega
 
 
 # --- cap-with-fundamental-class matrices ---
@@ -184,18 +184,10 @@ def _classical_caps(space, ring):
     key = ("classical_caps", ring.name)
     got = space.cache.get(key)
     if got is None:
-        n = space.n
-        tops = space.simplices(n)
-        rows = {k: {} for k in range(n + 1)}
-        for si, c in _fundamental_cycle(space, ring).items():
-            s = tops[si]
-            for k in range(n + 1):
-                row = rows[k].setdefault(space.index_of(tuple(s[k:])), {})
-                _add_to(ring, row, space.index_of(tuple(s[:k + 1])), c)
+        fc = _fundamental_cycle(space, ring)
         got = space.cache[key] = {
-            k: Matrix(ring, len(space.simplices(n - k)),
-                      len(space.simplices(k)), r)
-            for k, r in rows.items()}
+            k: _cap_matrix(space, ring, k, space.n, fc, False)
+            for k in range(space.n + 1)}
     return got
 
 
@@ -205,17 +197,10 @@ def _blown_caps(space, ring):
     key = ("blown_caps", ring.name)
     got = space.cache.get(key)
     if got is None:
-        n = space.n
-        B = blowup_complex(space)
-        rows = {k: {} for k in range(n + 1)}
-        for si, c in _fundamental_cycle(space, ring).items():
-            for k, triples in _support_of(space, si, n).items():
-                for b, sg, gi in triples:
-                    _add_to(ring, rows[k].setdefault(gi, {}), B.index[b][1],
-                            ring.neg(c) if sg < 0 else c)
+        fc = _fundamental_cycle(space, ring)
         got = space.cache[key] = {
-            k: Matrix(ring, len(space.simplices(n - k)), B.dim(k), r)
-            for k, r in rows.items()}
+            k: _cap_matrix(space, ring, k, space.n, fc, True)
+            for k in range(space.n + 1)}
     return got
 
 
@@ -300,17 +285,16 @@ def leibniz_holds(space, ring, k, omega, m, xi):
 
     d(w cap xi) = (-1)^k (w cap (d xi) - (dw) cap xi)."""
     B = blowup_complex(space)
-    lhs = intersection_cap(space, ring, k, omega, m, xi)
+    w = {B.index[b][1]: v for b, v in omega.items()}
+    lhs = _cap_matrix(space, ring, k, m, xi, True) @ w
     if m - k > 0:
         lhs = space.boundary_matrix(m - k, ring) @ lhs
     else:
         lhs = {}
     dxi = space.boundary_matrix(m, ring) @ xi if m > 0 else {}
-    t1 = intersection_cap(space, ring, k, omega, m - 1, dxi) if m else {}
-    wvec = {B.index[b][1]: v for b, v in omega.items()}
-    dw_vec = B.differential(k, ring) @ wvec if k < B.top else {}
-    dw = {B.tuples[k + 1][i]: v for i, v in dw_vec.items()}
-    t2 = intersection_cap(space, ring, k + 1, dw, m, xi)
+    t1 = _cap_matrix(space, ring, k, m - 1, dxi, True) @ w
+    dw = B.differential(k, ring) @ w if k < B.top else {}
+    t2 = _cap_matrix(space, ring, k + 1, m, xi, True) @ dw
     sign = ring.el(-1 if k % 2 else 1)
     for gi in set(lhs) | set(t1) | set(t2):
         want = ring.mul(sign, ring.sub(t1.get(gi, ring.zero),
@@ -343,9 +327,11 @@ def check_chain_identity(space):
     space, (embedding of c) cap s = c cap s, over the integers.
 
     On simplices missing the top stratum both global caps are zero by
-    convention, so only regular simplices can contribute entries; the
-    sparse comparison covers every cochain at once.  Returns the number
-    of (cochain, simplex) pairs covered; raises on the first mismatch.
+    convention, so only regular simplices can contribute entries.  For
+    each regular simplex and each degree k the blown-up cap matrix times
+    the degree-k embedding must equal the classical cap matrix, which
+    covers every cochain at once.  Returns the number of (cochain,
+    simplex) pairs covered; raises on the first mismatch.
     """
     n = space.n
     B = blowup_complex(space)
@@ -355,26 +341,11 @@ def check_chain_identity(space):
         for si, s in enumerate(space.simplices(m)):
             if not space.is_regular(s):
                 continue
-            lhs = {}
-            for k, triples in _support_of(space, si, m).items():
-                for b, sg, gi in triples:
-                    row = emb[k].rows.get(B.index[b][1], {})
-                    for ci, w in row.items():
-                        acc = lhs.setdefault((k, ci), {})
-                        v = acc.get(gi, 0) + sg * w
-                        if v:
-                            acc[gi] = v
-                        else:
-                            acc.pop(gi, None)
-            rhs = {}
             for k in range(m + 1):
-                ci = space.index_of(tuple(s[:k + 1]))
-                rhs[(k, ci)] = {space.index_of(tuple(s[k:])): 1}
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, {}) != rhs.get(key, {}):
+                if (_cap_matrix(space, ZZ, k, m, {si: 1}, True) @ emb[k]
+                        != _cap_matrix(space, ZZ, k, m, {si: 1}, False)):
                     raise AssertionError(
-                        f"cap identity fails on simplex {s} "
-                        f"for cochain {key}")
+                        f"cap identity fails on simplex {s} in degree {k}")
     return n_simplices * n_simplices
 
 

@@ -21,7 +21,7 @@ from .rings import ring_by_name
 
 def _add_source(sp):
     sp.add_argument("--builtin", metavar="NAME",
-                    help="builtin space: s<n>, rp3, sigma-rp3, "
+                    help="builtin space: s<n>, rp3, rp3-fine, sigma-rp3, "
                          "cone:<builtin>, susp:<builtin>")
     sp.add_argument("--input", metavar="FILE",
                     help="filtered complex in the text format")

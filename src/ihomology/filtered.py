@@ -611,13 +611,23 @@ def load_complex(path):
 _builtin_cache = {}
 
 # Largest builtin, in simplices, that builtin() will construct.  It
-# admits susp:sigma-rp3 (7640) and s15 (131070); s16 already needs
-# 262142.
+# admits susp:sigma-rp3 (7640), susp:rp3-fine (60386) and s15 (131070);
+# s16 already needs 262142.
 MAX_BUILTIN_SIMPLICES = 200_000
 
 # Estimates at or past this are reported as this; nothing that large is
 # ever built, and it keeps 2^(n+2) from growing without bound.
 _SIZE_CEILING = 2 ** 64
+
+
+# name -> (number of simplices, constructor) of each named builtin
+_NAMED_BUILTINS = {
+    # f-vector 40/232/384/192
+    "rp3": (848, lambda: projective_space(4, subdivisions=1)),
+    # f-vector 848/5456/9216/4608
+    "rp3-fine": (20128, lambda: projective_space(4, subdivisions=2)),
+    "sigma-rp3": (3 * 848 + 2, lambda: suspension(builtin("rp3"))),
+}
 
 
 def builtin_size(name):
@@ -629,10 +639,8 @@ def builtin_size(name):
     if name.startswith("susp:"):
         inner = builtin_size(name.split(":", 1)[1])
         return min(3 * inner + 2, _SIZE_CEILING)
-    if name == "rp3":
-        return 848  # f-vector 40/232/384/192
-    if name == "sigma-rp3":
-        return builtin_size("susp:rp3")
+    if name in _NAMED_BUILTINS:
+        return _NAMED_BUILTINS[name][0]
     if name.startswith("s") and name[1:].isdigit():
         n = int(name[1:])
         return 2 ** (n + 2) - 2 if n < 62 else _SIZE_CEILING
@@ -640,7 +648,8 @@ def builtin_size(name):
 
 
 def builtin(name):
-    """Builtin spaces: s<n>, rp3, sigma-rp3, cone:<builtin>, susp:<builtin>.
+    """Builtin spaces: s<n>, rp3, rp3-fine, sigma-rp3, cone:<builtin>,
+    susp:<builtin>.
 
     A space whose builtin_size is over MAX_BUILTIN_SIMPLICES is refused
     with a ValueError before anything is built.
@@ -659,12 +668,9 @@ def builtin(name):
     elif name.startswith("susp:"):
         K = suspension(builtin(name.split(":", 1)[1]))
         K.name = name
-    elif name == "rp3":
-        K = projective_space(4, subdivisions=1)
-        K.name = "rp3"
-    elif name == "sigma-rp3":
-        K = suspension(builtin("rp3"))
-        K.name = "sigma-rp3"
+    elif name in _NAMED_BUILTINS:
+        K = _NAMED_BUILTINS[name][1]()
+        K.name = name
     else:
         # builtin_size has already rejected every other name
         K = simplex_sphere(int(name[1:]))

@@ -7,14 +7,13 @@ Everything is exact; no floats appear anywhere in the package.
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_cols")
+    __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring, nrows, ncols, rows=None):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else {}
-        self._cols = None
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):
@@ -59,7 +58,6 @@ class Matrix:
         return row.get(j, self.ring.zero)
 
     def set(self, i, j, v):
-        self._cols = None
         if self.ring.is_zero(v):
             row = self.rows.get(i)
             if row is not None:
@@ -70,17 +68,16 @@ class Matrix:
             self.rows.setdefault(i, {})[j] = v
 
     def columns(self):
-        """Column-index view: dict col -> dict row -> entry (cached)."""
-        if self._cols is None:
-            cols = {}
-            for i, row in self.rows.items():
-                for j, v in row.items():
-                    cols.setdefault(j, {})[i] = v
-            self._cols = cols
-        return self._cols
+        """Column-index view: dict col -> dict row -> entry, built fresh
+        on every call, so that no matrix keeps a second copy of itself."""
+        cols = {}
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                cols.setdefault(j, {})[i] = v
+        return cols
 
     def column(self, j):
-        return dict(self.columns().get(j, {}))
+        return {i: row[j] for i, row in self.rows.items() if j in row}
 
     def nnz(self):
         return sum(len(r) for r in self.rows.values())

@@ -692,10 +692,14 @@ def hermite_solve(B, C):
     property), so the substitution finds every solvable column.
     """
     R = B.ring
-    Bc = B.columns()
+    # the pivot row of column j is the first row whose last entry is in
+    # column j: column j starts there and the later columns vanish there
+    pivot_row = {}
+    for r in sorted(B.rows):
+        pivot_row.setdefault(max(B.rows[r]), r)
     X = {}
     for j in range(B.ncols):
-        r = min(Bc[j])
+        r = pivot_row[j]
         row = B.rows[r]
         x = dict(C.rows.get(r, ()))
         p = row[j]

@@ -282,3 +282,160 @@ def test_leibniz_and_bookkeeping_suspension(sigma_rp3):
     for p, q, k, omega, m, xi in _random_pairs(sigma_rp3, 100, seed=5):
         assert leibniz_holds(sigma_rp3, ZZ, k, omega, m, xi), (str(p), k, m)
         assert cap_bookkeeping_ok(sigma_rp3, ZZ, p, q, k, omega, m, xi)
+
+
+# --- the one cap builder against the accumulation loops it replaced ---
+
+def _ref_add_to(ring, vec, i, c):
+    v = ring.add(vec.get(i, ring.zero), c)
+    if ring.is_zero(v):
+        vec.pop(i, None)
+    else:
+        vec[i] = v
+
+
+def _ref_intersection_cap(space, ring, k, omega, m, xi):
+    out = {}
+    for si, x in xi.items():
+        if ring.is_zero(x):
+            continue
+        if not space.is_regular(space.simplices(m)[si]):
+            continue
+        for b, sg, gi in cap._support_of(space, si, m).get(k, ()):
+            w = omega.get(b)
+            if w is None or ring.is_zero(w):
+                continue
+            term = ring.mul(w, x)
+            _ref_add_to(ring, out, gi, ring.neg(term) if sg < 0 else term)
+    return out
+
+
+def _ref_classical_cap(space, ring, k, omega, m, xi):
+    out = {}
+    for si, x in xi.items():
+        if ring.is_zero(x):
+            continue
+        s = space.simplices(m)[si]
+        if not space.is_regular(s):
+            continue
+        w = omega.get(space.index_of(tuple(s[:k + 1])))
+        if w is None or ring.is_zero(w):
+            continue
+        _ref_add_to(ring, out, space.index_of(tuple(s[k:])), ring.mul(w, x))
+    return out
+
+
+def _ref_classical_caps(space, ring):
+    n = space.n
+    tops = space.simplices(n)
+    rows = {k: {} for k in range(n + 1)}
+    for si, c in cap._fundamental_cycle(space, ring).items():
+        s = tops[si]
+        for k in range(n + 1):
+            row = rows[k].setdefault(space.index_of(tuple(s[k:])), {})
+            _ref_add_to(ring, row, space.index_of(tuple(s[:k + 1])), c)
+    return {k: Matrix(ring, len(space.simplices(n - k)),
+                      len(space.simplices(k)), r)
+            for k, r in rows.items()}
+
+
+def _ref_blown_caps(space, ring):
+    n = space.n
+    B = blowup_complex(space)
+    rows = {k: {} for k in range(n + 1)}
+    for si, c in cap._fundamental_cycle(space, ring).items():
+        for k, triples in cap._support_of(space, si, n).items():
+            for b, sg, gi in triples:
+                _ref_add_to(ring, rows[k].setdefault(gi, {}), B.index[b][1],
+                            ring.neg(c) if sg < 0 else c)
+    return {k: Matrix(ring, len(space.simplices(n - k)), B.dim(k), r)
+            for k, r in rows.items()}
+
+
+def _random_chain(space, ring, m, rng):
+    """A few random m-simplices with coefficients in -3..3, zero among
+    them, and every non-regular m-simplex with coefficient 1."""
+    simplices = space.simplices(m)
+    xi = {si: ring.el(rng.randint(-3, 3)) for si in rng.sample(
+        range(len(simplices)), min(6, len(simplices)))}
+    xi.update((si, ring.one) for si, s in enumerate(simplices)
+              if not space.is_regular(s))
+    return xi
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(2), Zmod(4)],
+                         ids=["Z", "Q", "Z2", "Z4"])
+def test_cap_matrix_matches_the_accumulation_loops(ring, s4, rp3, sigma_rp3):
+    rng = random.Random(12)
+    for space in (s4, rp3, sigma_rp3):
+        n = space.n
+        B = blowup_complex(space)
+        for got, want in ((cap._classical_caps(space, ring),
+                           _ref_classical_caps(space, ring)),
+                          (cap._blown_caps(space, ring),
+                           _ref_blown_caps(space, ring))):
+            for k in range(n + 1):
+                # the same rows in the same order, the empty ones dropped
+                assert (got[k].nrows, got[k].ncols) == \
+                    (want[k].nrows, want[k].ncols)
+                assert list(got[k].rows.items()) == [
+                    (i, r) for i, r in want[k].rows.items() if r], k
+        for m in range(n + 1):
+            xi = _random_chain(space, ring, m, rng)
+            for k in range(m + 1):
+                omega = {i: ring.el(rng.choice([-1, 1, 2, 3]))
+                         for i in range(len(space.simplices(k)))}
+                assert classical_cap(space, ring, k, omega, m, xi) == \
+                    _ref_classical_cap(space, ring, k, omega, m, xi), (k, m)
+            for k in range(n + 1):
+                tuples = B.tuples.get(k, [])
+                omega = {b: ring.el(rng.randint(-3, 3)) for b in rng.sample(
+                    tuples, min(40, len(tuples)))}
+                assert intersection_cap(space, ring, k, omega, m, xi) == \
+                    _ref_intersection_cap(space, ring, k, omega, m, xi), \
+                    (k, m)
+
+
+def test_chain_identity_names_a_broken_simplex(monkeypatch, sigma_rp3):
+    # flip the sign of one support triple that an embedded cochain
+    # reaches; a triple outside the embedding's image could not show
+    X = sigma_rp3
+    si, k = X.index_of((0, 2, 3)), 1
+    B = blowup_complex(X)
+    emb = B.embedding_matrix(k)
+    real = cap._support_of
+    flip = next(t for t in real(X, si, 2)[k]
+                if emb.rows.get(B.index[t[0]][1]))
+
+    def flipped(space, sj, m):
+        sup = real(space, sj, m)
+        if (space, sj, m) != (X, si, 2):
+            return sup
+        return {**sup, k: tuple((b, -sg, gi) if (b, sg, gi) == flip
+                                else (b, sg, gi) for b, sg, gi in sup[k])}
+
+    monkeypatch.setattr(cap, "_support_of", flipped)
+    with pytest.raises(AssertionError,
+                       match=r"simplex \(0, 2, 3\) in degree 1"):
+        check_chain_identity(X)
+
+
+def test_local_cap_factorization_catches_a_flipped_sign(monkeypatch, s4):
+    # flip blown_cap's sign on one tuple that survives the blow-down in
+    # the cap of an embedded front vertex
+    s = s4.simplices(4)[0]
+    parts = s4.join_decomposition(s).parts
+    _, terms = cochain_embedding_terms(s[:1], parts)
+    real = blown_cap
+    target = next(b for b in terms if real(b, parts) is not None
+                  and tuple_flatten(real(b, parts)[1]) is not None)
+
+    def flipped(b, ps):
+        res = real(b, ps)
+        if res is None or (b, ps) != (target, parts):
+            return res
+        return -res[0], res[1]
+
+    monkeypatch.setattr(cap, "blown_cap", flipped)
+    with pytest.raises(AssertionError, match="local cap factorization fails"):
+        check_local_cap_factorization(s4)

@@ -322,7 +322,8 @@ def test_builtin_registry():
 
 
 def test_builtin_size_matches_the_built_space():
-    for name in ("s0", "s3", "rp3", "sigma-rp3", "cone:s2", "susp:cone:s3"):
+    for name in ("s0", "s3", "rp3", "sigma-rp3", "cone:s2", "susp:cone:s3",
+                 "rp3-fine", "susp:rp3-fine"):
         assert builtin_size(name) == sum(builtin(name).f_vector()), name
     assert builtin_size("s40") == 2 ** 42 - 2
     assert builtin_size("susp:s40") == 3 * (2 ** 42 - 2) + 2

@@ -1,20 +1,26 @@
 """No module of the package imports a name it never uses, and no
-private helper is left that nothing calls.
+private helper or public definition is left that nothing calls.
 
-No linter runs on the package, so small ast scans stand in for two
+No linter runs on the package, so small ast scans stand in for three
 rules.  Unused imports: every name an import statement binds must be
 read somewhere else in the module; __init__.py binds names to re-export
 them and is left out.  Dead private code: every private module-level
 function or class and every private method must be referenced, as a
-name, an attribute or an imported name, somewhere in the package.
+name, an attribute or an imported name, somewhere in the package.  Dead
+public code: every public module-level function or class must be
+referenced in the same ways, or as a tracer target string such as
+"snf:hermite_solve", somewhere in the package, its tests or the
+benchmark harness.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ihomology"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ihomology"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,15 +70,22 @@ def unreferenced_private_definitions(sources):
                             for item in node.body
                             if isinstance(item, ast.FunctionDef)
                             and _is_private(item.name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.asname or node.name)
+        referenced |= references(tree)
     return sorted(f"{module}:{name}" for module, name in defined
                   if name.rpartition(".")[2] not in referenced)
+
+
+def references(tree):
+    """Every name tree reads as a name or an attribute or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
 
 
 def test_the_scan_finds_unreferenced_private_definitions():
@@ -91,3 +104,52 @@ def test_every_private_helper_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_definitions(sources) == []
+
+
+TARGET = re.compile(r"\w+:\w+(\.\w+)*")
+
+
+def unreferenced_public_definitions(package, others):
+    """Sorted "module:name" of the public module-level functions and
+    classes of package (a dict module name -> source) that no source in
+    package or others (a list of sources) references as a name, an
+    attribute, an imported name or a part of a "module:qualname" string
+    constant."""
+    defined = []
+    referenced = set()
+    for module, source in package.items():
+        defined += [(module, node.name) for node in ast.parse(source).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+    for source in [*package.values(), *others]:
+        tree = ast.parse(source)
+        referenced |= references(tree)
+        referenced.update(
+            part for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and TARGET.fullmatch(node.value)
+            for part in node.value.split(":")[1].split("."))
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if name not in referenced)
+
+
+def test_the_scan_finds_unreferenced_public_definitions():
+    package = {
+        "a": "def used():\n    pass\n\ndef dead():\n    pass\n\n"
+             "class Gone:\n    pass\n\ndef traced():\n    pass\n\n"
+             "class Holder:\n    def method(self):\n        pass\n\n"
+             "def _private():\n    pass\n",
+        "b": "from .a import used\n",
+    }
+    others = ["TARGETS = ('a:traced', 'a:Holder.method')\n",
+              "text = 'dead code: Gone'\n"]
+    assert unreferenced_public_definitions(package, others) == [
+        "a:Gone", "a:dead"]
+
+
+def test_every_public_definition_is_referenced():
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    others = [p.read_text(encoding="utf-8")
+              for folder in ("tests", "perfbench")
+              for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unreferenced_public_definitions(package, others) == []
