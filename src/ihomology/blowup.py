@@ -296,8 +296,8 @@ class BlowupComplex:
         key = (k, p.values)
         idx = self._allowable.get(key)
         if idx is None:
-            idx = [i for i, b in enumerate(self.tuples.get(k, ()))
-                   if tuple_allowable(b, p)]
+            idx = tuple(i for i, b in enumerate(self.tuples.get(k, ()))
+                        if tuple_allowable(b, p))
             self._allowable[key] = idx
         return idx
 
@@ -356,7 +356,7 @@ def tw_complex(space, p, ring):
         T = space.cache[key] = PerverseSubcomplex(
             ring, B.top, B.dim, lambda k: B.differential(k, ring),
             lambda k: B.allowable_indices(k, p), 1,
-            space.cache.setdefault(("tw_cycles", ring.name), {}))
+            space.cache.setdefault(("tw_memo", ring.name), {}))
     return T
 
 

@@ -15,6 +15,12 @@ Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
 join the boundary coordinates before the Smith form; the invariant
 factors all divide m, and a free summand Z/m gets order m.
+
+A HomologyGroup is never changed after it is built, so one object may
+serve several complexes: the perverse (co)homology groups and the
+simplicial homology of a space are shared through the memo that
+intersection.py keys by the allowable sets.  A PresentedComplex keeps
+its own groups, per degree; the cochain and dual complexes use it.
 """
 
 from .matrices import Matrix

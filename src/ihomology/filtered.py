@@ -16,6 +16,7 @@ the text input format used by the CLI.
 from itertools import combinations
 
 from .complexes import PresentedComplex
+from .intersection import chain_homology
 from .matrices import Matrix
 
 
@@ -195,7 +196,7 @@ class FilteredComplex:
         return C
 
     def homology(self, k, ring):
-        return self.chain_complex(ring).homology(k)
+        return chain_homology(self, k, ring)
 
     # --- validation ---
 
@@ -559,11 +560,17 @@ def _int_field(word, lineno, what):
                          "integer") from None
 
 
+def _check_stratum(s, n, lineno):
+    if not 0 <= s <= n:
+        raise ValueError(f"line {lineno}: stratum {s} outside 0..{n}")
+
+
 def parse_complex(text):
     """Parse the text format: dim, vertex, and facet lines; '#' comments."""
     n = None
     names = []
     strata = []
+    vertex_lines = []
     index = {}
     facets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -575,23 +582,34 @@ def parse_complex(text):
             if len(words) != 2:
                 raise ValueError(f"line {lineno}: expected 'dim <n>'")
             n = _int_field(words[1], lineno, "dimension")
+            if n < 0:
+                raise ValueError(f"line {lineno}: dimension {n} is negative")
+            for v, at in zip(strata, vertex_lines):
+                _check_stratum(v, n, at)
         elif words[0] == "vertex":
             if len(words) != 4 or words[2] != "stratum":
                 raise ValueError(f"line {lineno}: expected 'vertex <name> stratum <i>'")
             vname, s = words[1], _int_field(words[3], lineno, "stratum")
             if vname in index:
                 raise ValueError(f"line {lineno}: duplicate vertex {vname!r}")
+            if n is not None:
+                _check_stratum(s, n, lineno)
             if strata and s < strata[-1]:
                 raise ValueError(f"line {lineno}: vertex order violates "
                                  "stratum refinement")
             index[vname] = len(names)
             names.append(vname)
             strata.append(s)
+            vertex_lines.append(lineno)
         elif words[0] == "facet":
             try:
-                facets.append(tuple(index[w] for w in words[1:]))
+                f = tuple(index[w] for w in words[1:])
             except KeyError as e:
                 raise ValueError(f"line {lineno}: unknown vertex {e.args[0]!r}") from None
+            if len(set(f)) != len(f):
+                w = next(w for w in words[1:] if words[1:].count(w) > 1)
+                raise ValueError(f"line {lineno}: facet repeats vertex {w!r}")
+            facets.append(f)
         else:
             raise ValueError(f"line {lineno}: unknown directive {words[0]!r}")
     if n is None:

@@ -17,6 +17,18 @@ the perverse submodule need not be free, but its Howell basis spans
 it, which is all the boundaries need.  Over the integers and over
 fields the perverse bases also present the complex, which the dual
 complex of gm_cochain_complex is built from.
+
+Everything the allowable sets determine is computed once.  A based
+complex over one ring keeps one memo, shared by all its perversities:
+K.cache[("perverse_memo", ring name)] for chains and
+space.cache[("tw_memo", ring name)] for blown-up cochains.  The
+perverse basis of degree k sits under ("basis", k, allowable(k),
+allowable(k + step)), the cycles on allowable(k) under ("basis", k,
+allowable(k), None), and the group of degree k under ("group", k,
+allowable(k), allowable(k - step)), with None for an empty set
+(memo_key).  Simplicial homology is the chain group under the key that
+allows every simplex, so it is the very intersection homology group of
+each perversity that allows every simplex of degrees k and k + 1.
 """
 
 from functools import cached_property
@@ -45,7 +57,8 @@ def allowable_indices(K, k, p):
     key = ("allowable", k, p.values)
     idx = K.cache.get(key)
     if idx is None:
-        idx = [j for j, s in enumerate(K.simplices(k)) if is_allowable(K, s, p)]
+        idx = tuple(j for j, s in enumerate(K.simplices(k))
+                    if is_allowable(K, s, p))
         K.cache[key] = idx
     return idx
 
@@ -59,18 +72,64 @@ def perverse_basis(ring, D, nk, cols, bad):
     over Z, reduced column echelon over a field, Howell over a
     composite Z/m.  The kernel on cols is already in that form, and
     cols ascending keeps it so when its rows move to their full
-    positions.
+    positions.  cols and bad are ascending, so when they hold every
+    column and every row the basis is kernel(D) itself, with no copy.
     """
     if not cols:
         return Matrix.zeros(ring, nk, 0)
-    ker = (kernel(D.submatrix(bad, cols)) if bad
-           else Matrix.identity(ring, len(cols)))
+    if not bad:
+        ker = Matrix.identity(ring, len(cols))
+    elif len(bad) == D.nrows and len(cols) == nk:
+        ker = kernel(D)
+    else:
+        ker = kernel(D.submatrix(bad, cols))
+    if len(cols) == nk:
+        return ker
     rows = {}
     for jj, j in enumerate(cols):
         r = ker.rows.get(jj)
         if r:
             rows[j] = dict(r)
     return Matrix(ring, nk, ker.ncols, rows)
+
+
+def memo_key(kind, k, allowable, j):
+    """Key of a degree-k "basis" or "group" in the memo of its complex
+    and ring, which holds everything the allowable sets determine.
+
+    A basis depends only on the allowable sets of degrees k and
+    j = k + step, where its image must lie; a group only on those of
+    degrees k and j = k - step, whose basis gives the boundaries.  The
+    set of degree j is None when it is empty, as it is when the complex
+    has no degree j, so the cycles on allowable(k) are the basis under
+    ("basis", k, allowable(k), None).
+    """
+    return kind, k, tuple(allowable(k)), tuple(allowable(j)) or None
+
+
+def shared_basis(memo, key, D):
+    """The basis under key = ("basis", k, cols, good) in memo: the
+    chains on the columns cols of D whose image under D lies on the
+    rows good (on no row when good is None)."""
+    B = memo.get(key)
+    if B is None:
+        good = set(key[3] or ())
+        B = memo[key] = perverse_basis(
+            D.ring, D, D.ncols, key[2],
+            [i for i in range(D.nrows) if i not in good])
+    return B
+
+
+def shared_group(memo, k, allowable, step, D, boundaries):
+    """The degree-k group in memo, of a complex with differential D out
+    of degree k and degree k - step mapping in: the cycles on
+    allowable(k) modulo the columns boundaries() returns."""
+    key = memo_key("group", k, allowable, k - step)
+    H = memo.get(key)
+    if H is None:
+        Z = shared_basis(memo, ("basis", k, key[2], None), D)
+        H = memo[key] = group_from_cycles(D.ring, D.ncols, Z, boundaries())
+    return H
 
 
 class PerverseSubcomplex:
@@ -80,26 +139,22 @@ class PerverseSubcomplex:
     Degree k has dim(k) basis elements, differential(k) maps it to
     degree k + step over the ring (step -1 for chains, +1 for
     cochains), and allowable(k) lists the allowable basis elements, for
-    k in 0..top.  bases[k] is the perverse basis of degree k.  A cycle
-    basis depends only on the allowable set, so the creator passes in
-    one dict, keyed by (k, allowable set), that every perversity shares.
+    k in 0..top.  bases[k] is the perverse basis of degree k.  Bases
+    and groups live in memo, one dict per based complex and ring that
+    every perversity shares, under memo_key.
     """
 
-    def __init__(self, ring, top, dim, differential, allowable, step,
-                 cycles):
+    def __init__(self, ring, top, dim, differential, allowable, step, memo):
         self.ring = ring
         self.step = step
         self.dim = dim
         self.differential = differential
         self.allowable = allowable
-        self._cycles = cycles
-        self._groups = {}
-        self.bases = {}
-        for k in range(top + 1):
-            good = set(allowable(k + step))
-            bad = [i for i in range(dim(k + step)) if i not in good]
-            self.bases[k] = perverse_basis(ring, differential(k), dim(k),
-                                           allowable(k), bad)
+        self._memo = memo
+        self.bases = {
+            k: shared_basis(memo, memo_key("basis", k, allowable, k + step),
+                            differential(k))
+            for k in range(top + 1)}
 
     def rank(self, k):
         """Number of perverse basis elements in degree k."""
@@ -117,25 +172,16 @@ class PerverseSubcomplex:
         """Degree-k (co)homology: the cycles on the allowable basis
         elements modulo the image of the perverse basis one degree up
         (down for cochains)."""
-        H = self._groups.get(k)
-        if H is None:
-            if k not in self.bases:
-                return HomologyGroup.trivial(self.ring)
-            D = self.differential(k)
-            cols = self.allowable(k)
-            key = (k, tuple(cols))
-            Z = self._cycles.get(key)
-            if Z is None:
-                Z = self._cycles[key] = perverse_basis(
-                    self.ring, D, self.dim(k), cols, range(D.nrows))
-            t = k - self.step
+        if k not in self.bases:
+            return HomologyGroup.trivial(self.ring)
+        t = k - self.step
+
+        def boundaries():
             if t in self.bases:
-                bd = self.differential(t) @ self.bases[t]
-            else:
-                bd = Matrix.zeros(self.ring, self.dim(k), 0)
-            H = self._groups[k] = group_from_cycles(self.ring, self.dim(k),
-                                                     Z, bd)
-        return H
+                return self.differential(t) @ self.bases[t]
+            return Matrix.zeros(self.ring, self.dim(k), 0)
+        return shared_group(self._memo, k, self.allowable, self.step,
+                            self.differential(k), boundaries)
 
     @cached_property
     def complex(self):
@@ -165,9 +211,30 @@ def perverse_complex(K, p, ring):
         C = K.cache[key] = PerverseSubcomplex(
             ring, K.top_dim(), lambda k: len(K.simplices(k)),
             lambda k: K.boundary_matrix(k, ring),
-            lambda k: allowable_indices(K, k, p), -1,
-            K.cache.setdefault(("perverse_cycles", ring.name), {}))
+            lambda k: allowable_indices(K, k, p), -1, chain_memo(K, ring))
     return C
+
+
+def chain_memo(K, ring):
+    """The memo of the perverse chain complexes of K over ring."""
+    return K.cache.setdefault(("perverse_memo", ring.name), {})
+
+
+def chain_homology(K, k, ring):
+    """Simplicial homology H_k(K; ring).
+
+    It lives in the memo of the perverse chain complexes under the key
+    that allows every simplex, so a perversity that allows every simplex
+    of degrees k and k + 1 gets this very group.  Its boundaries are
+    those of the identity basis one degree up, the plain boundary
+    matrix.
+    """
+    if not 0 <= k <= K.top_dim():
+        return HomologyGroup.trivial(ring)
+    return shared_group(chain_memo(K, ring), k,
+                        lambda j: range(len(K.simplices(j))), -1,
+                        K.boundary_matrix(k, ring),
+                        lambda: K.boundary_matrix(k + 1, ring))
 
 
 def intersection_homology(K, p, ring, k):

@@ -18,7 +18,7 @@ from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
 from ihomology.filtered import parse_complex, simplex_sphere
 from ihomology.intersection import comparison_map, perverse_complex
 from ihomology.matrices import Matrix
-from ihomology.perversity import clip, top, zero
+from ihomology.perversity import clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 
 
@@ -439,3 +439,13 @@ def test_local_cap_factorization_catches_a_flipped_sign(monkeypatch, s4):
     monkeypatch.setattr(cap, "blown_cap", flipped)
     with pytest.raises(AssertionError, match="local cap factorization fails"):
         check_local_cap_factorization(s4)
+
+
+@pytest.mark.parametrize("ring", [Zmod(2), Zmod(3), ZZ], ids=str)
+def test_factorization_over_the_whole_lattice(sigma_rp3, ring):
+    report = verify_factorization(sigma_rp3, ring,
+                                  perversities=gm_lattice(4))
+    assert report.ok, str(report)
+    assert report.lines[-1] == "PASS"
+    assert sum("duality isomorphism in every degree" in L
+               for L in report.lines) == len(gm_lattice(4))

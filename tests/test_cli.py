@@ -300,6 +300,25 @@ def test_builtin_and_input_together_rejected(tmp_path, capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nvertex a stratum 5\nvertex b stratum 2\nfacet a b\n",
+     "line 2: stratum 5 outside 0..2"),
+    ("dim 2\nvertex b stratum 2\nvertex a stratum 5\n",
+     "line 3: stratum 5 outside 0..2"),
+    ("dim -1\nvertex a stratum 2\nfacet a\n",
+     "line 1: dimension -1 is negative"),
+    ("dim 2\nvertex a stratum 2\nvertex b stratum 2\nvertex c stratum 2\n"
+     "facet a a c\n", "line 5: facet repeats vertex 'a'"),
+], ids=["stratum", "stratum-last", "dim", "facet"])
+def test_bad_input_lines_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bad_coefficients_rejected(capsys):
     code, _, err = run_cli(capsys, "homology", "--builtin", "s4",
                            "--coeffs", "GF(9)")

@@ -311,6 +311,26 @@ def test_parse_complex_errors():
         parse_complex("dim 1\nvertex a stratum x\nfacet a")
 
 
+def test_parse_complex_checks_each_stratum_at_its_line():
+    with pytest.raises(ValueError, match=r"^line 2: stratum 5 outside 0\.\.2$"):
+        parse_complex("dim 2\nvertex a stratum 5\nvertex b stratum 2\n"
+                      "facet a b")
+    with pytest.raises(ValueError, match=r"^line 3: stratum 5 outside 0\.\.2$"):
+        parse_complex("dim 2\nvertex b stratum 2\nvertex a stratum 5")
+    with pytest.raises(ValueError, match="^line 1: dimension -1 is negative$"):
+        parse_complex("dim -1\nvertex a stratum 2\nfacet a")
+    # a dim line after the vertices checks them at their own lines
+    with pytest.raises(ValueError, match=r"^line 2: stratum 3 outside 0\.\.1$"):
+        parse_complex("vertex a stratum 0\nvertex b stratum 3\ndim 1\n"
+                      "facet a b")
+
+
+def test_parse_complex_names_a_repeated_facet_vertex():
+    with pytest.raises(ValueError, match="^line 5: facet repeats vertex 'a'$"):
+        parse_complex("dim 2\nvertex a stratum 2\nvertex b stratum 2\n"
+                      "vertex c stratum 2\nfacet a a c")
+
+
 def test_builtin_registry():
     assert builtin("s4").f_vector() == (6, 15, 20, 15, 6)
     assert builtin("cone:s2").n == 3

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ihomology.blowup import tw_complex
+from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.complexes import homology_type_of
 from ihomology.filtered import (barycentric_subdivision, builtin, cone,
                                 projective_space, simplex_sphere, suspension)
@@ -287,3 +287,96 @@ def test_inclusion_map_matches_per_column_construction(sigma_rp3, ring):
     assert reduced or ring.is_field
     with pytest.raises(AssertionError, match="not nested"):
         inclusion_map(perverse_complex(sigma_rp3, top(4), ring), src, 2)
+
+
+# The memo of bases and groups.  These build fresh spaces, so that no
+# other test has filled the memo first.
+
+def fresh_sigma_rp3():
+    return suspension(projective_space(4))
+
+
+def test_groups_are_shared_exactly_when_allowable_sets_agree():
+    # a chain group depends on the allowable sets of degrees k and k + 1,
+    # a blown-up cochain group on those of degrees k and k - 1
+    X = fresh_sigma_rp3()
+    B = blowup_complex(X)
+    lattice = gm_lattice(4)
+    cases = [
+        (lambda p, k: intersection_homology(X, p, ZZ, k),
+         lambda k, p: allowable_indices(X, k, p), 1),
+        (lambda p, k: tw_complex(X, p, QQ).homology(k),
+         B.allowable_indices, -1),
+    ]
+    shared = apart = 0
+    for group, allowable, j in cases:
+        for p, q in product(lattice, repeat=2):
+            for k in range(5):
+                same = all(tuple(allowable(d, p)) == tuple(allowable(d, q))
+                           for d in (k, k + j))
+                assert (group(p, k) is group(q, k)) == same, (p, q, k, j)
+                if p != q:
+                    shared += same
+                    apart += not same
+    assert shared and apart
+
+
+def test_classical_homology_is_the_perverse_group():
+    # every simplex of a manifold is allowable, so H_k is the
+    # intersection homology group of every perversity, whichever is
+    # computed first
+    X, Y = projective_space(4), projective_space(4)
+    for k in range(4):
+        H = X.homology(k, ZZ)
+        G = [intersection_homology(Y, p, ZZ, k) for p in gm_lattice(3)]
+        assert all(intersection_homology(X, p, ZZ, k) is H
+                   for p in gm_lattice(3)), k
+        assert all(g is Y.homology(k, ZZ) for g in G), k
+    assert [str(X.homology(k, ZZ)) for k in range(4)] == [
+        "Z", "Z/2", "0", "Z"]
+
+
+def test_rings_never_share_a_group():
+    X = fresh_sigma_rp3()
+    seen = {}
+    for R in (ZZ, QQ, Zmod(4)):
+        for k in range(5):
+            groups = [X.homology(k, R)] + [
+                intersection_homology(X, p, R, k) for p in gm_lattice(4)]
+            for G in groups:
+                assert seen.setdefault(id(G), R) is R, (k, R)
+
+
+def lattice_snapshot(X, group, perversities):
+    out = {}
+    for p in perversities:
+        for k in range(5):
+            H = group(X, p, k)
+            out[p.values, k] = (str(H), H.reps,
+                                [H.coords(rep) for rep in H.reps])
+    return out
+
+
+@pytest.mark.parametrize("group", [
+    lambda X, p, k: intersection_homology(X, p, ZZ, k),
+    lambda X, p, k: intersection_homology(X, p, Zmod(4), k),
+    lambda X, p, k: tw_complex(X, p, QQ).homology(k),
+], ids=["chains-Z", "chains-Z4", "tw-Q"])
+def test_lattice_order_does_not_change_groups(group):
+    # a shared group is built by whichever perversity asks first; it must
+    # not depend on which one that is
+    lattice = gm_lattice(4)
+    up = lattice_snapshot(fresh_sigma_rp3(), group, lattice)
+    down = lattice_snapshot(fresh_sigma_rp3(), group, lattice[::-1])
+    assert up == down
+
+
+@pytest.mark.slow
+def test_ih_lattice_is_subdivision_invariant(sigma_rp3):
+    # the 60k model is sigma-rp3 with its link subdivided once more, and
+    # intersection homology of GM perversities is a topological invariant
+    X = builtin("susp:rp3-fine")
+    for p in gm_lattice(4):
+        for k in range(5):
+            assert str(intersection_homology(X, p, ZZ, k)) == str(
+                intersection_homology(sigma_rp3, p, ZZ, k)), (p, k)
