@@ -568,6 +568,7 @@ def _check_stratum(s, n, lineno):
 def parse_complex(text):
     """Parse the text format: dim, vertex, and facet lines; '#' comments."""
     n = None
+    dim_line = None
     names = []
     strata = []
     vertex_lines = []
@@ -581,6 +582,10 @@ def parse_complex(text):
         if words[0] == "dim":
             if len(words) != 2:
                 raise ValueError(f"line {lineno}: expected 'dim <n>'")
+            if dim_line is not None:
+                raise ValueError(f"line {lineno}: second 'dim' line "
+                                 f"(first on line {dim_line})")
+            dim_line = lineno
             n = _int_field(words[1], lineno, "dimension")
             if n < 0:
                 raise ValueError(f"line {lineno}: dimension {n} is negative")
@@ -602,6 +607,8 @@ def parse_complex(text):
             strata.append(s)
             vertex_lines.append(lineno)
         elif words[0] == "facet":
+            if len(words) == 1:
+                raise ValueError(f"line {lineno}: facet has no vertex")
             try:
                 f = tuple(index[w] for w in words[1:])
             except KeyError as e:

@@ -16,12 +16,18 @@ Bases of column spans are kept in one canonical echelon form
 (hermite_column_form): the column Hermite form over Z, the reduced
 column echelon form over a field, and the Howell form over a composite
 Z/m, whose pivots divide m and whose columns pivoting at or below any
-row span every vector of the span that vanishes above it.  Kernels come
+row span every vector of the span that vanishes above it.  The form is
+unique for the span, so the order of the steps is free: each pivot
+column is the one with the smallest entry, then the fewest entries,
+then the latest next row, and a row index sends each new pivot only
+to the earlier pivot columns with an entry in its row.  Kernels come
 in that form from one elimination for every ring (kernel): each row
 pivots at its rightmost column when that entry is a unit and is set
 aside when it is not, and only the residual of the set-aside rows goes
 through the echelon form of itself stacked on the identity
-(integer_kernel).  Vectors are written in such a basis by one solve
+(integer_kernel); the kernel vectors of the free columns that residual
+touches are combined through its kernel, and the others are kept as
+they stand.  Vectors are written in such a basis by one solve
 for every ring (hermite_solve), with no transforms: forward
 substitution on the pivot rows gives the coordinates, and one product
 with the basis checks that every vector lies in its span.
@@ -539,22 +545,35 @@ def hermite_column_form(M):
     the span that vanishes above it.  Either way the output depends
     only on the span of the input columns, which makes downstream bases
     reproducible, and each column's pivot is its first nonzero entry.
+
+    Columns wait in buckets by their first nonzero row.  In each bucket
+    the pivot column is the one with the smallest entry there (a unit
+    needs no Bezout step), then the fewest entries, then the latest
+    next row: every other column of the bucket takes on the pivot's
+    tail, so a tail that starts late sends each of them on to its own
+    next row instead of through every later bucket.  A row index keeps,
+    for each row, the earlier pivot columns with an entry there, so the
+    canonical reduction at a new pivot row visits only those, in
+    ascending order.  Neither choice changes the output, which is the
+    unique form of the span whatever the order of the steps.
     """
     R = M.ring
     composite = isinstance(R, ZmodRing) and not R.is_field
-    # columns bucketed by their first nonzero row, each bucket in the
-    # order its columns arrived
     waiting = {}
     seen = M.columns()
     for j in sorted(seen):
         if seen[j]:
             waiting.setdefault(min(seen[j]), []).append(dict(seen[j]))
     pivots = []
+    # row -> indices of the pivot columns holding an entry in that row
+    holders = {}
     while waiting:
         i = min(waiting)
         active = waiting.pop(i)
-        c0 = active[0]
-        for c in active[1:]:
+        c0 = active.pop(min(range(len(active)), key=lambda k: (
+            R.size(active[k][i]), len(active[k]),
+            -min((r for r in active[k] if r != i), default=M.nrows))))
+        for c in active:
             a, b = c0[i], c[i]
             if R.divides(a, b):
                 _axpy(R, c, c0, R.neg(R.div(b, a)))
@@ -571,21 +590,28 @@ def hermite_column_form(M):
         if u != R.one:
             c0 = {k: R.mul(u, v) for k, v in c0.items()}
         g = c0[i]
-        for _, pc in pivots:
-            e = pc.get(i)
-            if e is not None:
-                # over Z and Z/m the floor quotient of the lifts puts e
-                # in [0, g); R.div is exact over Z/m, so it cannot
-                q = R.div(e, g) if R.is_field else e // g
-                if q:
-                    _axpy(R, pc, c0, R.neg(q))
-        pivots.append((i, c0))
+        for idx in sorted(holders.get(i, ())):
+            pc = pivots[idx]
+            # over Z and Z/m the floor quotient of the lifts puts the
+            # entry in [0, g); R.div is exact over Z/m, so it cannot
+            q = R.div(pc[i], g) if R.is_field else pc[i] // g
+            if q:
+                _axpy(R, pc, c0, R.neg(q))
+                for r in c0:
+                    if r in pc:
+                        holders.setdefault(r, set()).add(idx)
+                    elif r in holders:
+                        holders[r].discard(idx)
+        for r in c0:
+            holders.setdefault(r, set()).add(len(pivots))
+        del holders[i]
+        pivots.append(c0)
         if composite:
             ann = {k: R.mul(R.m // g, v) for k, v in c0.items()}
             ann = {k: v for k, v in ann.items() if v}
             if ann:
                 waiting.setdefault(min(ann), []).append(ann)
-    return Matrix.from_columns(R, M.nrows, [pc for _, pc in pivots])
+    return Matrix.from_columns(R, M.nrows, pivots)
 
 
 def integer_kernel(M):
@@ -626,7 +652,10 @@ def kernel(M):
     ker(D).  Each v_f starts at f with a 1 and equals e_f on the free
     rows, so V keeps first entries and the entries at free rows: V times
     the canonical basis of ker(D) (from integer_kernel on the columns D
-    touches, e_f on the rest) is the canonical basis of ker(M).
+    touches, e_f on the rest) is the canonical basis of ker(M).  That
+    product is never formed: a free column D does not touch gives v_f
+    as it stands, under its place in the output, and only the v_f of
+    the touched columns are combined, through the basis of ker(D).
     """
     R = M.ring
     pivots = {}
@@ -650,28 +679,40 @@ def kernel(M):
         for d in [d for d in p if d != c and d in pivots]:
             _axpy(R, p, pivots[d], R.neg(p[d]))
     free = [f for f in range(M.ncols) if f not in pivots]
-    pos = {f: j for j, f in enumerate(free)}
-    rows = {f: {pos[f]: R.one} for f in free}
-    for c, p in pivots.items():
-        r = {pos[f]: R.neg(e) for f, e in p.items() if f != c}
-        if r:
-            rows[c] = r
-    V = Matrix(R, M.ncols, len(free), rows)
     for row in aside:
         for c in [c for c in row if c in pivots]:
             _axpy(R, row, pivots[c], R.neg(row[c]))
-    touched = sorted({pos[f] for row in aside for f in row})
-    if not touched:
-        return V
-    at = {j: k for k, j in enumerate(touched)}
-    D = Matrix(R, len(aside), len(touched),
-               {i: {at[pos[f]]: e for f, e in row.items()}
-                for i, row in enumerate(aside) if row})
-    Y = [(j, {j: R.one}) for j in range(len(free)) if j not in at]
-    for y in integer_kernel(D).columns().values():
-        Y.append((touched[min(y)], {touched[k]: e for k, e in y.items()}))
-    Y.sort(key=lambda jy: jy[0])
-    return V @ Matrix.from_columns(R, len(free), [y for _, y in Y])
+    touched = sorted({f for row in aside for f in row})
+    at = {f: k for k, f in enumerate(touched)}
+    # ker(D) as (first entry, vector over the free columns)
+    Y = []
+    if touched:
+        D = Matrix(R, len(aside), len(touched),
+                   {i: {at[f]: e for f, e in row.items()}
+                    for i, row in enumerate(aside) if row})
+        for y in integer_kernel(D).columns().values():
+            Y.append((touched[min(y)], {touched[k]: e for k, e in y.items()}))
+    # the output columns in order of first entry: v_f for each free f
+    # that D does not touch, and V y for each y in ker(D)
+    new = {f: j for j, f in enumerate(sorted(
+        [f for f in free if f not in at] + [f for f, _ in Y]))}
+    rows = {f: {new[f]: R.one} for f in free if f not in at}
+    for c, p in pivots.items():
+        r = {new[f]: R.neg(e) for f, e in p.items() if f != c and f not in at}
+        if r:
+            rows[c] = r
+    if Y:
+        Vt = {f: {f: R.one} for f in touched}
+        for c, p in pivots.items():
+            for f in [f for f in p if f in at]:
+                Vt[f][c] = R.neg(p[f])
+        for f, y in Y:
+            v = {}
+            for g, e in y.items():
+                _axpy(R, v, Vt[g], e)
+            for i, e in v.items():
+                rows.setdefault(i, {})[new[f]] = e
+    return Matrix(R, M.ncols, len(new), rows)
 
 
 def hermite_solve(B, C):

@@ -309,7 +309,11 @@ def test_builtin_and_input_together_rejected(tmp_path, capsys):
      "line 1: dimension -1 is negative"),
     ("dim 2\nvertex a stratum 2\nvertex b stratum 2\nvertex c stratum 2\n"
      "facet a a c\n", "line 5: facet repeats vertex 'a'"),
-], ids=["stratum", "stratum-last", "dim", "facet"])
+    ("dim 1\nvertex a stratum 1\nvertex b stratum 1\nfacet a b\ndim 5\n",
+     "line 5: second 'dim' line (first on line 1)"),
+    ("dim 1\nvertex a stratum 1\nvertex b stratum 1\nfacet\nfacet a b\n",
+     "line 4: facet has no vertex"),
+], ids=["stratum", "stratum-last", "dim", "facet", "second-dim", "empty-facet"])
 def test_bad_input_lines_exit_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

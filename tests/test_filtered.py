@@ -309,6 +309,13 @@ def test_parse_complex_errors():
         parse_complex("dim x\nvertex a stratum 1\nfacet a")
     with pytest.raises(ValueError, match="^line 2: stratum 'x'"):
         parse_complex("dim 1\nvertex a stratum x\nfacet a")
+    with pytest.raises(ValueError,
+                       match=r"^line 5: second 'dim' line \(first on line 1\)$"):
+        parse_complex("dim 1\nvertex a stratum 1\nvertex b stratum 1\n"
+                      "facet a b\ndim 5")
+    with pytest.raises(ValueError, match="^line 4: facet has no vertex$"):
+        parse_complex("dim 1\nvertex a stratum 1\nvertex b stratum 1\n"
+                      "facet\nfacet a b")
 
 
 def test_parse_complex_checks_each_stratum_at_its_line():

@@ -4,8 +4,12 @@ import pytest
 
 from ihomology.matrices import Matrix
 from ihomology.rings import ZZ, QQ, Zmod
+from ihomology import snf
+from ihomology.rings import ZmodRing
 from ihomology.snf import (
     _Eliminator,
+    _axpy,
+    _combine,
     smith_normal_form,
     invariant_factors,
     hermite_column_form,
@@ -614,3 +618,136 @@ def test_smith_pivot_order_matches_full_sort(R, rp3):
         assert got.diag == want.diag, M.to_lists()
         for name in ("U", "Uinv", "V", "Vinv"):
             assert getattr(got, name) == getattr(want, name), (name, M.to_lists())
+
+
+def first_arrived_hermite_column_form(M):
+    """hermite_column_form with the first-arrived column of each bucket as
+    its pivot and a scan of every earlier pivot column at each new pivot
+    row: the reference for the pivot choice and the row index."""
+    R = M.ring
+    composite = isinstance(R, ZmodRing) and not R.is_field
+    waiting = {}
+    seen = M.columns()
+    for j in sorted(seen):
+        if seen[j]:
+            waiting.setdefault(min(seen[j]), []).append(dict(seen[j]))
+    pivots = []
+    while waiting:
+        i = min(waiting)
+        active = waiting.pop(i)
+        c0 = active[0]
+        for c in active[1:]:
+            a, b = c0[i], c[i]
+            if R.divides(a, b):
+                _axpy(R, c, c0, R.neg(R.div(b, a)))
+            else:
+                g, s, t, u, v = R.bezout(a, b)
+                nc0 = _combine(R, c0, c, s, t)
+                nc = _combine(R, c0, c, u, v)
+                c0 = nc0
+                c.clear()
+                c.update(nc)
+            if c:
+                waiting.setdefault(min(c), []).append(c)
+        u = R.canonical_unit(c0[i])
+        if u != R.one:
+            c0 = {k: R.mul(u, v) for k, v in c0.items()}
+        g = c0[i]
+        for pc in pivots:
+            e = pc.get(i)
+            if e is not None:
+                q = R.div(e, g) if R.is_field else e // g
+                if q:
+                    _axpy(R, pc, c0, R.neg(q))
+        pivots.append(c0)
+        if composite:
+            ann = {k: R.mul(R.m // g, v) for k, v in c0.items()}
+            ann = {k: v for k, v in ann.items() if v}
+            if ann:
+                waiting.setdefault(min(ann), []).append(ann)
+    return Matrix.from_columns(R, M.nrows, pivots)
+
+
+UNIT_AND_TWO = (1, -1, 2, -2)
+
+
+def dense_low_rank(rng, R, nr, nc, r):
+    """A dense nr x nc product A B of rank at most r, with the entries of A
+    and B drawn from {1, -1, 2, -2}."""
+    A = Matrix.from_rows(R, [[rng.choice(UNIT_AND_TWO) for _ in range(r)]
+                             for _ in range(nr)], ncols=r)
+    B = Matrix.from_rows(R, [[rng.choice(UNIT_AND_TWO) for _ in range(nc)]
+                             for _ in range(r)], ncols=nc)
+    return A @ B
+
+
+def stacked_on_identity(M):
+    rows = dict(M.rows)
+    for j in range(M.ncols):
+        rows[M.nrows + j] = {j: M.ring.one}
+    return Matrix(M.ring, M.nrows + M.ncols, M.ncols, rows)
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(5), Zmod(4), Zmod(6), Zmod(12)],
+                         ids=["Z", "Q", "Z5", "Z4", "Z6", "Z12"])
+def test_hermite_form_does_not_depend_on_pivot_choice(R, monkeypatch):
+    # the form is unique for the span, so the sparsest-pivot choice and
+    # the row index must give the first-arrived, full-scan form; the
+    # dense low-rank [D; I] stacks are the residuals kernel sets aside
+    rng = random.Random(59)
+    cases = []
+    for _ in range(12):
+        r = rng.randrange(1, 4)
+        D = dense_low_rank(rng, R, rng.randrange(r, r + 4),
+                           rng.randrange(1, 151), r)
+        cases.append(stacked_on_identity(D))
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        cases.append(Matrix.from_columns(R, n, random_columns(
+            rng, R, n, rng.randrange(1, 6))))
+        cases.append(mixed_entry_matrix(rng, R))
+    for M in cases:
+        assert hermite_column_form(M) == first_arrived_hermite_column_form(M), \
+            M.to_lists()
+    # kernel's own residual: ker(D) drops columns on some of these, so
+    # the free columns that D touches are combined through it
+    drops = []
+    original = snf.integer_kernel
+
+    def recording(D):
+        K = original(D)
+        drops.append(K.ncols < D.ncols)
+        return K
+
+    monkeypatch.setattr(snf, "integer_kernel", recording)
+    for _ in range(40):
+        r = rng.randrange(1, 4)
+        M = dense_low_rank(rng, R, rng.randrange(r, r + 4),
+                           rng.randrange(1, 41), r)
+        rows = list(range(M.nrows))
+        rng.shuffle(rows)
+        M = M.submatrix(rows, list(range(M.ncols)))
+        K = kernel(M)
+        assert K == original(M), M.to_lists()
+        assert (M @ K).is_zero()
+    assert any(drops) or R.is_field
+
+
+@pytest.mark.parametrize("R", [ZZ, Zmod(4), Zmod(6)], ids=["Z", "Z4", "Z6"])
+def test_integer_kernel_residual_work_is_linear(R, monkeypatch):
+    # a dense rank-1 residual: each column of [D; I] is sent on to its
+    # own row of the I block, not through every later bucket
+    rng = random.Random(61)
+    n = 400
+    D = dense_low_rank(rng, R, 4, n, 1)
+    calls = [0]
+    original = snf._axpy
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(snf, "_axpy", counting)
+    K = integer_kernel(D)
+    assert (D @ K).is_zero()
+    assert calls[0] < 10 * n
