@@ -418,6 +418,11 @@ def verify_factorization(space, ring, perversities=None):
     blown = _blown_caps(space, ring)
     B = blowup_complex(space)
     emb = {k: B.embedding_matrix(k).map_ring(ring) for k in range(n + 1)}
+    # each group in ascending stored degree first, so that its cycles are
+    # decided on the pivot rows of the group below (complexes.cycle_matrix)
+    for k in range(n + 1):
+        C.homology(k - n)
+        space.homology(k, ring)
     lines = []
     ok = True
     caps = {}
@@ -440,7 +445,9 @@ def verify_factorization(space, ring, perversities=None):
         lines.append(f"square commutes on {total} generators")
     for p in perversities:
         dm = duality_map(space, p, ring)
-        iso = [dm.is_isomorphism(k) for k in range(n + 1)]
+        # blown-up cochains of degree k and perverse chains of degree
+        # n - k, each in ascending stored degree
+        iso = [dm.is_isomorphism(k) for k in range(n, -1, -1)][::-1]
         contained = all(
             dm.pc.contains(n - k, Matrix.from_columns(
                 ring, len(space.simplices(n - k)), chains))
@@ -479,8 +486,10 @@ def check_zero_top(space, ring):
     _check_space(space, normal=True)
     n = space.n
     classical_duality(space, ring)
+    # cochains of degree k and chains of degree n - k, each in ascending
+    # stored degree (complexes.cycle_matrix)
     cap_iso = [classical_duality_induced(space, ring, k).is_isomorphism()
-               for k in range(n + 1)]
+               for k in range(n, -1, -1)][::-1]
     beta_iso = [comparison_map(space, zero(n), top(n), ring,
                                j).is_isomorphism()
                 for j in range(n + 1)]

@@ -11,6 +11,16 @@ product and duality checks need; a cycle's coordinates come from the
 same solve, which also rejects boundaries and chains that are not
 cycles, over every ring.
 
+A cycle basis is eliminated only on the rows that can be independent
+(cycle_matrix).  Once the group one degree down is built with the
+columns of D as its boundaries, its solve has proved each of them in
+the span of its cycle basis Z.  Z is in echelon form, so on its pivot
+rows it is triangular with nonzero pivots, which is injective over Z
+and over a field: D x = 0 exactly when D x vanishes on those rows, and
+kernel() returns the same canonical basis from them.  Over a composite
+Z/m every row is kept.  Groups asked for in ascending degree get this
+for free; no degree is built only to prune another.
+
 Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
 join the boundary coordinates before the Smith form; the invariant
@@ -30,6 +40,7 @@ from .snf import (
     hermite_solve_vector,
     invariant_factors,
     kernel,
+    pivot_rows,
     smith_normal_form,
 )
 
@@ -39,15 +50,18 @@ class HomologyGroup:
 
     orders lists one entry per generator: 0 for infinite order, d >= 2
     for a generator of order d (over Z/m the value m marks a free Z/m
-    summand).  reps holds matching ambient representatives.
+    summand).  reps holds matching ambient representatives.  cycles is
+    the cycle basis the group was computed from, when it has columns.
     """
 
-    def __init__(self, ring, ambient_dim, orders, reps, coord_fn):
+    def __init__(self, ring, ambient_dim, orders, reps, coord_fn,
+                 cycles=None):
         self.ring = ring
         self.ambient_dim = ambient_dim
         self.orders = orders
         self.reps = reps
         self._coord_fn = coord_fn
+        self.cycles = cycles
 
     @classmethod
     def trivial(cls, ring, ambient_dim=0):
@@ -163,19 +177,38 @@ def group_from_cycles(ring, ambient_dim, Zb, B):
             out.append(c)
         return tuple(out)
 
-    return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn)
+    return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn, Zb)
 
 
-def homology_of(bd_out, bd_in):
+def cycle_matrix(D, below=None):
+    """A matrix with the kernel of the differential D, for kernel().
+
+    When below is the group one degree down, built with the columns of
+    D as its boundaries, this is D on the pivot rows of below's cycle
+    basis, with the other rows zero, over Z and over a field; it shares
+    D's rows, which kernel() copies as it reads them.  Otherwise it is D.
+    """
+    R = D.ring
+    if (below is None or below.cycles is None
+            or (isinstance(R, ZmodRing) and not R.is_field)):
+        return D
+    return Matrix(R, D.nrows, D.ncols,
+                  {i: D.rows[i] for i in pivot_rows(below.cycles).values()
+                   if i in D.rows})
+
+
+def homology_of(bd_out, bd_in, below=None):
     """Homology ker(bd_out)/im(bd_in) with generators.
 
     bd_out maps the module in question outward, bd_in maps into it; both
     must share a ring, and bd_out.ncols == bd_in.nrows is the ambient
-    dimension.
+    dimension.  below is the group one degree down, if it was computed
+    with bd_out as its boundaries (see cycle_matrix).
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    return group_from_cycles(bd_out.ring, bd_out.ncols, kernel(bd_out), bd_in)
+    return group_from_cycles(bd_out.ring, bd_out.ncols,
+                             kernel(cycle_matrix(bd_out, below)), bd_in)
 
 
 def homology_type_of(bd_out, bd_in):
@@ -239,7 +272,9 @@ class PresentedComplex:
             if self.dim(k) == 0:
                 self._homology[k] = HomologyGroup.trivial(self.ring)
             else:
-                self._homology[k] = homology_of(self.boundary(k), self.boundary(k + 1))
+                self._homology[k] = homology_of(
+                    self.boundary(k), self.boundary(k + 1),
+                    self._homology.get(k - 1))
         return self._homology[k]
 
     def euler_characteristic(self):

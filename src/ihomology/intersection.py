@@ -29,12 +29,20 @@ allowable(k), allowable(k - step)), with None for an empty set
 (memo_key).  Simplicial homology is the chain group under the key that
 allows every simplex, so it is the very intersection homology group of
 each perversity that allows every simplex of degrees k and k + 1.
+
+The group that allows everything in degrees k + step and k has the
+whole differential D out of degree k as its boundaries, which its
+solve has proved in the span of its echelon cycle basis Z.  Over Z and
+over a field Z is injective on its pivot rows, so D x = 0 exactly when
+D x vanishes there: once that group is in the memo, every cycle basis
+of degree k, on any allowable columns, is the kernel of D on those rows
+alone, the same lattice and so the same basis (complexes.cycle_matrix).
 """
 
 from functools import cached_property
 
 from .complexes import (HomologyGroup, InducedMap, PresentedComplex,
-                        group_from_cycles)
+                        cycle_matrix, group_from_cycles)
 from .matrices import Matrix
 from .rings import ZmodRing
 from .snf import hermite_solve, kernel
@@ -123,11 +131,16 @@ def shared_basis(memo, key, D):
 def shared_group(memo, k, allowable, step, D, boundaries):
     """The degree-k group in memo, of a complex with differential D out
     of degree k and degree k - step mapping in: the cycles on
-    allowable(k) modulo the columns boundaries() returns."""
+    allowable(k) modulo the columns boundaries() returns.  The cycles
+    are the kernel of cycle_matrix(D, below), where below is the group
+    of degree k + step that allows everything, if that is in memo."""
     key = memo_key("group", k, allowable, k - step)
     H = memo.get(key)
     if H is None:
-        Z = shared_basis(memo, ("basis", k, key[2], None), D)
+        below = memo.get(("group", k + step, tuple(range(D.nrows)),
+                          tuple(range(D.ncols)) or None))
+        Z = shared_basis(memo, ("basis", k, key[2], None),
+                         cycle_matrix(D, below))
         H = memo[key] = group_from_cycles(D.ring, D.ncols, Z, boundaries())
     return H
 

@@ -30,7 +30,8 @@ touches are combined through its kernel, and the others are kept as
 they stand.  Vectors are written in such a basis by one solve
 for every ring (hermite_solve), with no transforms: forward
 substitution on the pivot rows gives the coordinates, and one product
-with the basis checks that every vector lies in its span.
+with the other rows of the basis checks that every vector lies in its
+span.
 """
 
 import heapq
@@ -715,6 +716,17 @@ def kernel(M):
     return Matrix(R, M.ncols, len(new), rows)
 
 
+def pivot_rows(B):
+    """The pivot row of each column of B, a basis from
+    hermite_column_form: the first row whose last entry is in that
+    column, since the column starts there and the later columns vanish
+    there."""
+    piv = {}
+    for r in sorted(B.rows):
+        piv.setdefault(max(B.rows[r]), r)
+    return piv
+
+
 def hermite_solve(B, C):
     """Solve B X == C for B from hermite_column_form; None if some column
     of C lies outside the span of B's columns.
@@ -726,18 +738,15 @@ def hermite_solve(B, C):
     that holds only its pivot 1 (every one over a field, nearly every
     one of a cycle basis over Z) gives row j of X as row r of C.  At any
     other pivot row the earlier rows of X are subtracted first, and p
-    must divide what is left.  One product B X == C then checks the rows
-    that are not pivot rows, the same way over every ring: a vector of
-    the span vanishing above a pivot row is spanned by the columns
-    pivoting at or below it (over a composite Z/m by the Howell
-    property), so the substitution finds every solvable column.
+    must divide what is left.  The substitution makes every pivot row
+    of B X equal that row of C, so one product of B's other rows with X
+    checks the rest of C, the same way over every ring: a vector of the
+    span vanishing above a pivot row is spanned by the columns pivoting
+    at or below it (over a composite Z/m by the Howell property), so
+    the substitution finds every solvable column.
     """
     R = B.ring
-    # the pivot row of column j is the first row whose last entry is in
-    # column j: column j starts there and the later columns vanish there
-    pivot_row = {}
-    for r in sorted(B.rows):
-        pivot_row.setdefault(max(B.rows[r]), r)
+    pivot_row = pivot_rows(B)
     X = {}
     for j in range(B.ncols):
         r = pivot_row[j]
@@ -754,7 +763,13 @@ def hermite_solve(B, C):
         if x:
             X[j] = x
     X = Matrix(R, B.ncols, C.ncols, X)
-    return X if B @ X == C else None
+    done = set(pivot_row.values())
+    rest = Matrix(R, B.nrows, B.ncols,
+                  {r: row for r, row in B.rows.items() if r not in done})
+    if (rest @ X).rows != {r: row for r, row in C.rows.items()
+                           if r not in done}:
+        return None
+    return X
 
 
 def hermite_solve_vector(B, c):

@@ -123,6 +123,28 @@ def test_table_output_is_deterministic(capsys):
         ["perversity", "0", "1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("coeffs", ["Z", "Q", "Zmod:4"])
+@pytest.mark.parametrize("command", [["homology"],
+                                     ["ih", "--perversity", "zero"]],
+                         ids=["homology", "ih-zero"])
+def test_single_degree_is_its_line_of_every_degree(monkeypatch, capsys,
+                                                   command, coeffs):
+    # every degree at once decides each cycle basis on the pivot rows of
+    # the one below; one degree alone, from a fresh space, uses every row
+    from ihomology.filtered import projective_space, suspension
+    monkeypatch.setattr("ihomology.cli.builtin",
+                        lambda name: suspension(projective_space(4)))
+    argv = command + ["--builtin", "sigma-rp3", "--coeffs", coeffs]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    for k, line in enumerate(lines):
+        code, out, _ = run_cli(capsys, *argv, "--degree", str(k))
+        assert code == 0
+        assert f"{k}: {out}" == line + "\n"
+
+
 def test_verify_zero_top_rational(capsys):
     code, out, _ = run_cli(capsys, "verify", "zero-top",
                            "--builtin", "sigma-rp3", "--coeffs", "Q")

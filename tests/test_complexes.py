@@ -1,9 +1,11 @@
 import pytest
 
+from ihomology import complexes
 from ihomology.matrices import Matrix
 from ihomology.rings import ZZ, QQ, Zmod
 from ihomology.complexes import (ChainMap, PresentedComplex, homology_of,
                                  homology_type_of)
+from ihomology.snf import kernel
 
 
 def doubling_complex(ring):
@@ -84,6 +86,29 @@ def test_homology_of_rejects_boundaries_outside_the_cycles(R):
     bd_in = Matrix.from_rows(R, [[1], [1]])
     with pytest.raises(ValueError, match="do not lie in the cycle span"):
         homology_of(bd_out, bd_in)
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3)], ids=str)
+def test_failed_group_does_not_prune_the_next_degree(R, monkeypatch):
+    # d1 d2 != 0: H_1 refuses its boundaries, so H_2 must not decide its
+    # cycles on H_1's pivot rows (none, as H_1 has no cycles, which would
+    # make every 2-chain a cycle); it takes every row of d2
+    rows = []
+
+    def recording(M):
+        rows.append(len(M.rows))
+        return kernel(M)
+    monkeypatch.setattr(complexes, "kernel", recording)
+    C = PresentedComplex(R, {0: 1, 1: 1, 2: 1},
+                         {1: Matrix.from_rows(R, [[1]]),
+                          2: Matrix.from_rows(R, [[1]])}, check=False)
+    assert str(C.homology(0)) == "0"
+    with pytest.raises(ValueError,
+                       match="boundary columns do not lie in the cycle span"):
+        C.homology(1)
+    rows.clear()
+    assert str(C.homology(2)) == "0"
+    assert rows == [1]
 
 
 def test_class_equal_mod_boundary():

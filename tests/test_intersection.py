@@ -4,17 +4,20 @@ from math import gcd
 
 import pytest
 
+from ihomology import cli, complexes, intersection
 from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.complexes import homology_type_of
 from ihomology.filtered import (barycentric_subdivision, builtin, cone,
                                 projective_space, simplex_sphere, suspension)
-from ihomology.intersection import (allowable_indices, cohomology,
+from ihomology.intersection import (allowable_indices, chain_memo,
+                                    cochain_complex, cohomology,
                                     comparison_map, gm_cohomology,
                                     inclusion_map, intersection_homology,
                                     is_allowable, perverse_complex)
+from ihomology.matrices import Matrix
 from ihomology.perversity import Perversity, clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
-from ihomology.snf import hermite_column_form
+from ihomology.snf import hermite_column_form, kernel
 
 
 def test_allowability_on_suspension(sigma_rp3):
@@ -369,6 +372,79 @@ def test_lattice_order_does_not_change_groups(group):
     up = lattice_snapshot(fresh_sigma_rp3(), group, lattice)
     down = lattice_snapshot(fresh_sigma_rp3(), group, lattice[::-1])
     assert up == down
+
+
+# Cycle bases decided on the pivot rows of the group one degree down.
+
+FRESH_SPACES = {"s4": lambda: simplex_sphere(4),
+                "rp3": lambda: projective_space(4),
+                "sigma-rp3": fresh_sigma_rp3}
+
+
+def cycles_on_every_row(K, key, ring):
+    """The cycle basis under a ("basis", k, cols, None) key of the chain
+    memo, from kernel() on every row of the boundary, in full
+    coordinates."""
+    _, k, cols, _ = key
+    D = K.boundary_matrix(k, ring)
+    ker = kernel(D.submatrix(range(D.nrows), cols))
+    return Matrix(ring, D.ncols, ker.ncols,
+                  {cols[i]: dict(r) for i, r in ker.rows.items()})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(3), Zmod(4)], ids=str)
+@pytest.mark.parametrize("space", sorted(FRESH_SPACES))
+def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
+    # whatever order the degrees come in, and for the perverse cycles on
+    # every allowable set, with the chain groups built before some of
+    # them and after the others, each memoised cycle basis is the kernel
+    # of the whole boundary; so is each cycle basis of the cochain
+    # complex, whose groups are asked for in ascending stored degree
+    n = FRESH_SPACES[space]().top_dim()
+    shuffled = list(range(n + 1))
+    random.Random(61).shuffle(shuffled)
+    for order in (range(n + 1), range(n, -1, -1), shuffled):
+        K = FRESH_SPACES[space]()
+        lattice = gm_lattice(K.n) if order is shuffled else []
+        for p in lattice[::2]:
+            for k in order:
+                intersection_homology(K, p, ring, k)
+        for k in order:
+            K.homology(k, ring)
+        for p in lattice[1::2]:
+            for k in order:
+                intersection_homology(K, p, ring, k)
+        memo = chain_memo(K, ring)
+        keys = [key for key in memo if key[0] == "basis" and key[3] is None]
+        assert len(keys) >= n + 1
+        for key in keys:
+            assert memo[key] == cycles_on_every_row(K, key, ring), key[:2]
+    C = cochain_complex(K, ring)
+    for d in range(-n, 1):
+        H = C.homology(d)
+        if H.cycles is not None:
+            assert H.cycles == kernel(C.boundary(d)), d
+
+
+def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
+    # ascending degrees: each boundary is eliminated only on the pivot
+    # rows of the cycle basis one degree down, 1273 of its 2162 rows; one
+    # degree alone builds no lower degree, so it takes every row
+    rows = []
+
+    def recording(M):
+        rows.append(len(M.rows))
+        return kernel(M)
+    monkeypatch.setattr(intersection, "kernel", recording)
+    monkeypatch.setattr(complexes, "kernel", recording)
+    monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
+    assert cli.main(["homology", "--builtin", "sigma-rp3"]) == 0
+    assert rows == [42, 271, 577, 383]
+    rows.clear()
+    assert cli.main(["homology", "--builtin", "sigma-rp3",
+                     "--degree", "4"]) == 0
+    assert rows == [960]
+    assert capsys.readouterr().out == "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\nZ\n"
 
 
 @pytest.mark.slow

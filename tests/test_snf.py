@@ -342,6 +342,65 @@ def test_hermite_solve_matches_the_residual_walk(R):
     assert mixed_pivot_rows or R.is_field
 
 
+def full_product_solve(B, C):
+    """hermite_solve with the check it once made, the whole product
+    B X == C, for the reference."""
+    R = B.ring
+    pivot_row = {}
+    for r in sorted(B.rows):
+        pivot_row.setdefault(max(B.rows[r]), r)
+    X = {}
+    for j in range(B.ncols):
+        r = pivot_row[j]
+        row = B.rows[r]
+        x = dict(C.rows.get(r, ()))
+        p = row[j]
+        if len(row) > 1 or p != R.one:
+            for l, b in row.items():
+                if l in X:
+                    _axpy(R, x, X[l], R.neg(b))
+            if not all(R.divides(p, v) for v in x.values()):
+                return None
+            x = {k: R.div(v, p) for k, v in x.items()}
+        if x:
+            X[j] = x
+    X = Matrix(R, B.ncols, C.ncols, X)
+    return X if B @ X == C else None
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(5), Zmod(4), Zmod(6)],
+                         ids=["Z", "Q", "Z5", "Z4", "Z6"])
+def test_hermite_solve_checks_the_rows_off_the_pivots(R):
+    # the same X, or None, as the whole product; some columns off the
+    # span agree with a column of the span on every pivot row, so only
+    # the rows off the pivots can reject them
+    rng = random.Random(53)
+    caught_off_pivots = 0
+    for _ in range(60):
+        n = rng.randrange(2, 8)
+        B = hermite_column_form(Matrix.from_columns(
+            R, n, random_columns(rng, R, n, rng.randrange(1, n))))
+        others = [r for r in range(n)
+                  if r not in snf.pivot_rows(B).values()]
+        inside = [B @ {j: R.el(rng.randrange(-4, 5)) for j in range(B.ncols)}
+                  for _ in range(3)]
+        nudged = []
+        if others:
+            c, r = dict(inside[0]), rng.choice(others)
+            c[r] = R.add(c.get(r, R.zero), R.el(rng.randrange(1, 4)))
+            nudged.append(c)
+            caught_off_pivots += full_product_solve(
+                B, Matrix.from_columns(R, n, [c])) is None
+        outside = random_columns(rng, R, n, 2)
+        for cols in (inside, inside + nudged, outside + inside, nudged):
+            C = Matrix.from_columns(R, n, cols)
+            X = hermite_solve(B, C)
+            assert X == full_product_solve(B, C)
+            if X is not None:
+                assert B @ X == C
+    assert caught_off_pivots
+
+
 def random_matrix(rng, R, i):
     """The i-th matrix of a mix: zero (empty shapes included), random of
     random density, full rank, and a product through a narrower rank."""
