@@ -445,9 +445,7 @@ def verify_factorization(space, ring, perversities=None):
         lines.append(f"square commutes on {total} generators")
     for p in perversities:
         dm = duality_map(space, p, ring)
-        # blown-up cochains of degree k and perverse chains of degree
-        # n - k, each in ascending stored degree
-        iso = [dm.is_isomorphism(k) for k in range(n, -1, -1)][::-1]
+        iso = [dm.is_isomorphism(k) for k in range(n + 1)]
         contained = all(
             dm.pc.contains(n - k, Matrix.from_columns(
                 ring, len(space.simplices(n - k)), chains))

@@ -14,12 +14,14 @@ cycles, over every ring.
 A cycle basis is eliminated only on the rows that can be independent
 (cycle_matrix).  Once the group one degree down is built with the
 columns of D as its boundaries, its solve has proved each of them in
-the span of its cycle basis Z.  Z is in echelon form, so on its pivot
-rows it is triangular with nonzero pivots, which is injective over Z
-and over a field: D x = 0 exactly when D x vanishes on those rows, and
-kernel() returns the same canonical basis from them.  Over a composite
-Z/m every row is kept.  Groups asked for in ascending degree get this
-for free; no degree is built only to prune another.
+the span of its cycle basis Z.  A nonzero vector of that span has its
+first nonzero entry on a pivot row of Z: the vectors of the span that
+vanish above a row are spanned by the columns pivoting at or below it
+(over a composite Z/m by the Howell property), and those pivoting
+below it vanish on it.  So D x = 0 exactly when D x vanishes on the
+pivot rows, over every ring, and kernel() returns the same canonical
+basis from them.  Groups asked for in ascending degree get this for
+free; no degree is built only to prune another.
 
 Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
@@ -185,14 +187,13 @@ def cycle_matrix(D, below=None):
 
     When below is the group one degree down, built with the columns of
     D as its boundaries, this is D on the pivot rows of below's cycle
-    basis, with the other rows zero, over Z and over a field; it shares
-    D's rows, which kernel() copies as it reads them.  Otherwise it is D.
+    basis, with the other rows zero (see the module docstring); it
+    shares D's rows, which kernel() copies as it reads them.  Otherwise
+    it is D.
     """
-    R = D.ring
-    if (below is None or below.cycles is None
-            or (isinstance(R, ZmodRing) and not R.is_field)):
+    if below is None or below.cycles is None:
         return D
-    return Matrix(R, D.nrows, D.ncols,
+    return Matrix(D.ring, D.nrows, D.ncols,
                   {i: D.rows[i] for i in pivot_rows(below.cycles).values()
                    if i in D.rows})
 

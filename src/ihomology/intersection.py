@@ -32,11 +32,12 @@ each perversity that allows every simplex of degrees k and k + 1.
 
 The group that allows everything in degrees k + step and k has the
 whole differential D out of degree k as its boundaries, which its
-solve has proved in the span of its echelon cycle basis Z.  Over Z and
-over a field Z is injective on its pivot rows, so D x = 0 exactly when
-D x vanishes there: once that group is in the memo, every cycle basis
-of degree k, on any allowable columns, is the kernel of D on those rows
-alone, the same lattice and so the same basis (complexes.cycle_matrix).
+solve has proved in the span of its echelon cycle basis Z.  Over every
+ring a nonzero vector of that span is nonzero on a pivot row of Z, so
+D x = 0 exactly when D x vanishes there: once that group is in the
+memo, every cycle basis of degree k, on any allowable columns, is the
+kernel of D on those rows alone, the same module and so the same basis
+(complexes.cycle_matrix).
 """
 
 from functools import cached_property

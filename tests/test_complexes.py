@@ -88,7 +88,7 @@ def test_homology_of_rejects_boundaries_outside_the_cycles(R):
         homology_of(bd_out, bd_in)
 
 
-@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3)], ids=str)
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3), Zmod(4)], ids=str)
 def test_failed_group_does_not_prune_the_next_degree(R, monkeypatch):
     # d1 d2 != 0: H_1 refuses its boundaries, so H_2 must not decide its
     # cycles on H_1's pivot rows (none, as H_1 has no cycles, which would
