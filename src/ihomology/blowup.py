@@ -9,18 +9,28 @@ face reaches the cone apex.  A global cochain is a family over the
 regular top simplices whose coefficients agree on every shared tuple,
 so the assembled complex has one basis element per realized tuple.
 
+The local blowup depends only on the join shape, the part sizes: the
+LocalBlowup of a shape on the positions 0..m is the template that each
+m-simplex s of that shape puts on its vertices, s[i] for position i.
+The vertex order refines the stratum order, so i -> s[i] is strictly
+increasing: it keeps the sorted positions behind the cofacet signs, the
+front faces of blown_cap and of the embedding terms, and every sort, so
+each matrix is exactly the one built from s.  Entries that top simplices
+share must agree; that check is all that glues the pieces.
+
 The perverse degree of a tuple measures, stratum by stratum, how far it
 sticks out of the apex direction; bounding it and the perverse degree
 of the coboundary by a perversity carves out the subcomplex whose
 cohomology is computed here, by intersection.PerverseSubcomplex in full
-tuple coordinates.  The simplex-to-blowup comparison maps live here
-too: the cochain embedding, a chain map into the whole blown-up
-complex, and the chain blow-down; cap products are in cap.py.
+tuple coordinates.  The cochain embedding, a chain map into the whole
+blown-up complex, and the chain blow-down live here too; cap products
+are in cap.py.
 """
 
-from itertools import combinations, product
+from functools import cached_property
+from itertools import accumulate, combinations, product
 
-from .complexes import ChainMap, InducedMap, PresentedComplex
+from .complexes import ChainMap, PresentedComplex
 from .intersection import (PerverseSubcomplex, cochain_complex, inclusion_map,
                            perverse_basis)
 from .matrices import Matrix
@@ -29,13 +39,7 @@ from .rings import ZZ, ZmodRing
 
 def cone_faces(part):
     """Cochain basis of the cone on a part: (face, reaches_apex) pairs."""
-    verts = tuple(part)
-    out = [((), 1)]
-    for r in range(1, len(verts) + 1):
-        for F in combinations(verts, r):
-            out.append((F, 0))
-            out.append((F, 1))
-    return out
+    return [((), 1)] + [(F, e) for F, _ in last_faces(part) for e in (0, 1)]
 
 
 def last_faces(part):
@@ -101,24 +105,16 @@ def cochain_embedding_terms(face, parts):
     by the vertex counts of the front parts.
     """
     n = len(parts) - 1
-    fparts = []
-    for i in range(n + 1):
-        P = set(parts[i])
-        fparts.append(tuple(a for a in face if a in P))
+    fparts = [tuple(a for a in face if a in P) for P in map(set, parts)]
     s = max(i for i in range(n + 1) if fparts[i])
     sizes = [len(fparts[i]) if i < s else len(fparts[i]) - 1
              for i in range(s + 1)]
     nu = sum(sizes[i] * sizes[j]
              for i in range(s + 1) for j in range(i + 1, s + 1))
     head = tuple((fparts[i], 1) for i in range(s)) + ((fparts[s], 0),)
-    choices = []
-    for i in range(s + 1, n + 1):
-        opts = [((a,), 0) for a in parts[i]]
-        if i < n:
-            opts.append(((), 1))
-        choices.append(tuple(opts))
-    tails = product(*choices) if choices else ((),)
-    return (-1 if nu % 2 else 1), [head + tail for tail in tails]
+    choices = [[((a,), 0) for a in parts[i]] + ([((), 1)] if i < n else [])
+               for i in range(s + 1, n + 1)]
+    return (-1 if nu % 2 else 1), [head + tail for tail in product(*choices)]
 
 
 def tuple_flatten(b):
@@ -129,13 +125,9 @@ def tuple_flatten(b):
     preserve degree.
     """
     ell = next(i for i, (F, e) in enumerate(b) if e == 0)
-    for F, e in b[ell + 1:]:
-        if len(F) - 1 + e != 0:
-            return None
-    out = []
-    for i in range(ell + 1):
-        out.extend(b[i][0])
-    return tuple(sorted(out))
+    if any(len(F) - 1 + e for F, e in b[ell + 1:]):
+        return None
+    return tuple(sorted(a for F, e in b[:ell + 1] for a in F))
 
 
 def blown_cap(b, parts):
@@ -174,25 +166,24 @@ def blown_cap(b, parts):
 
 
 class LocalBlowup:
-    """The blown-up cochain complex of a single regular simplex."""
+    """The blown-up cochain complex of a single regular simplex, its
+    tuples by degree in the order of the factor product."""
 
     def __init__(self, parts):
         self.parts = tuple(tuple(P) for P in parts)
         self.n = len(self.parts) - 1
         if not self.parts[self.n]:
             raise ValueError("blowup needs a regular simplex")
-        factors = [cone_faces(P) for P in self.parts[:-1]]
-        factors.append(last_faces(self.parts[-1]))
-        grouped = {}
-        for b in product(*factors):
-            grouped.setdefault(tuple_degree(b), []).append(b)
-        self.tuples = {k: sorted(v) for k, v in grouped.items()}
-        self.index = {}
-        for k, tl in self.tuples.items():
-            for i, b in enumerate(tl):
-                self.index[b] = (k, i)
+        self._factors = [cone_faces(P) for P in self.parts[:-1]]
+        self._factors.append(last_faces(self.parts[-1]))
+        self.tuples = {}
+        for b in product(*self._factors):
+            self.tuples.setdefault(tuple_degree(b), []).append(b)
+        self.index = {b: (k, i) for k, tl in self.tuples.items()
+                      for i, b in enumerate(tl)}
         self.top = max(self.tuples)
         self._D = {}
+        self._embedding = {}
 
     def dim(self, k):
         return len(self.tuples.get(k, ()))
@@ -200,84 +191,120 @@ class LocalBlowup:
     def differential(self, k):
         M = self._D.get(k)
         if M is None:
-            up = {b: i for i, b in enumerate(self.tuples.get(k + 1, ()))}
             rows = {}
             for j, b in enumerate(self.tuples.get(k, ())):
                 for b2, sign in tuple_cofacets(b, self.parts):
-                    rows.setdefault(up[b2], {})[j] = sign
+                    rows.setdefault(self.index[b2][1], {})[j] = sign
             M = self._D[k] = Matrix(ZZ, self.dim(k + 1), self.dim(k), rows)
         return M
-
-    def allowable_indices(self, k, p):
-        return [i for i, b in enumerate(self.tuples.get(k, ()))
-                if tuple_allowable(b, p)]
 
     def perverse_kernel(self, k, p):
         """Hermite basis over Z of the degree-k perversity-p subcomplex,
         in full tuple coordinates: allowable cochains with allowable
         coboundary."""
-        good_up = set(self.allowable_indices(k + 1, p))
-        bad = [i for i in range(self.dim(k + 1)) if i not in good_up]
+        ok = [[tuple_allowable(b, p) for b in self.tuples.get(d, ())]
+              for d in (k, k + 1)]
         return perverse_basis(ZZ, self.differential(k), self.dim(k),
-                              self.allowable_indices(k, p), bad)
+                              [i for i, a in enumerate(ok[0]) if a],
+                              [i for i, a in enumerate(ok[1]) if not a])
 
     def cochain_embedding_matrix(self, k):
         """Images of the dual face cochains, over Z; returns (matrix, faces)
         with faces the lex-sorted k-faces of the simplex."""
-        verts = tuple(sorted(a for P in self.parts for a in P))
-        faces = list(combinations(verts, k + 1))
-        rows = {}
-        for j, F in enumerate(faces):
-            sign, terms = cochain_embedding_terms(F, self.parts)
-            for t in terms:
-                kk, i = self.index[t]
-                rows.setdefault(i, {})[j] = sign
-        return Matrix(ZZ, self.dim(k), len(faces), rows), faces
+        got = self._embedding.get(k)
+        if got is None:
+            faces = list(combinations(sorted(sum(self.parts, ())), k + 1))
+            rows = {}
+            for j, F in enumerate(faces):
+                sign, terms = cochain_embedding_terms(F, self.parts)
+                for t in terms:
+                    rows.setdefault(self.index[t][1], {})[j] = sign
+            got = self._embedding[k] = (
+                Matrix(ZZ, self.dim(k), len(faces), rows), faces)
+        return got
+
+    @cached_property
+    def cap_support(self):
+        """The tuples whose cap against the blown top chain survives the
+        blow-down, by degree: (index in tuples[k], sign, image face)."""
+        # front faces of every part, and the whole part on each cone factor
+        opts = [[(P[:r + 1], 0) for r in range(len(P))]
+                + ([(P, 1)] if i < self.n else [])
+                for i, P in enumerate(self.parts)]
+        out = {}
+        for b in product(*opts):
+            sign, t = blown_cap(b, self.parts)
+            G = tuple_flatten(t)
+            if G is not None:
+                k, i = self.index[b]
+                out.setdefault(k, []).append((i, sign, G))
+        return out
+
+    def put(self, s):
+        """The tuples by degree, of a template on positions put on the
+        simplex s: s[i] for position i."""
+        pairs = {x: (tuple([s[i] for i in x[0]]), x[1])
+                 for f in self._factors for x in f}
+        return {k: [tuple([pairs[x] for x in b]) for b in tl]
+                for k, tl in self.tuples.items()}
+
+
+def template(space, s):
+    """The LocalBlowup of the join shape of simplex s (its part sizes),
+    on the positions 0..len(s)-1; one per shape, cached on the space."""
+    sizes = tuple(map(len, space.join_decomposition(s).parts))
+    key = ("blowup_template", sizes)
+    T = space.cache.get(key)
+    if T is None:
+        T = space.cache[key] = LocalBlowup(
+            [range(e - c, e) for c, e in zip(sizes, accumulate(sizes))])
+    return T
 
 
 class BlowupComplex:
-    """Global blown-up cochains: one basis element per realized tuple."""
+    """Global blown-up cochains: one basis element per realized tuple,
+    each regular top simplex putting the template of its shape on its
+    vertices."""
 
     def __init__(self, space):
         self.space = space
-        n = self.n = space.n
-        self.tops = [s for s in space.simplices(n) if space.is_regular(s)]
-        self.parts_of = {s: space.join_decomposition(s).parts for s in self.tops}
+        self.tops = [s for s in space.simplices(space.n)
+                     if space.is_regular(s)]
         seen = {}
         for s in self.tops:
-            parts = self.parts_of[s]
-            factors = [cone_faces(P) for P in parts[:-1]]
-            factors.append(last_faces(parts[-1]))
-            for b in product(*factors):
-                seen.setdefault(tuple_degree(b), set()).add(b)
+            for k, tl in template(space, s).put(s).items():
+                seen.setdefault(k, set()).update(tl)
         self.tuples = {k: sorted(v) for k, v in seen.items()}
-        self.index = {}
-        for k, tl in self.tuples.items():
-            for i, b in enumerate(tl):
-                self.index[b] = (k, i)
+        self.index = {b: (k, i) for k, tl in self.tuples.items()
+                      for i, b in enumerate(tl)}
         self.top = max(self.tuples) if self.tuples else 0
-        entries = {}
-        for s in self.tops:
-            parts = self.parts_of[s]
-            factors = [cone_faces(P) for P in parts[:-1]]
-            factors.append(last_faces(parts[-1]))
-            for b in product(*factors):
-                k, j = self.index[b]
-                store = entries.setdefault(k, {})
-                for b2, sign in tuple_cofacets(b, parts):
-                    i = self.index[b2][1]
-                    prev = store.setdefault((i, j), sign)
-                    if prev != sign:
-                        raise AssertionError("inconsistent blown-up coboundary")
-        self._D = {}
-        for k, store in entries.items():
-            rows = {}
-            for (i, j), sign in store.items():
-                rows.setdefault(i, {})[j] = sign
-            self._D[k, ZZ.name] = Matrix(ZZ, self.dim(k + 1), self.dim(k),
-                                         rows)
+        self._D = {(k, ZZ.name): M for k, M in self._glue(
+            lambda s, T, at: ((k, T.differential(k), at[k + 1], at[k])
+                              for k in range(T.top)),
+            lambda k: (self.dim(k + 1), self.dim(k)),
+            "inconsistent blown-up coboundary").items()}
         self._allowable = {}
         self._embedding = None
+
+    def _glue(self, local, shape, message):
+        """The matrices of every degree k, shape(k), put together from the
+        local ones: local(s, T, at) yields (k, M, row indices, column
+        indices) for the top simplex s, its template T and the global
+        index at[k][i] of T.tuples[k][i] put on s.  Entries that two
+        simplices share must agree: the check that the pieces glue."""
+        stores = {}
+        for s in self.tops:
+            T = template(self.space, s)
+            at = {k: [self.index[b][1] for b in tl]
+                  for k, tl in T.put(s).items()}
+            for k, M, rows, cols in local(s, T, at):
+                store = stores.setdefault(k, {})
+                for i, row in M.rows.items():
+                    out = store.setdefault(rows[i], {})
+                    for j, v in row.items():
+                        if out.setdefault(cols[j], v) != v:
+                            raise AssertionError(message)
+        return {k: Matrix(ZZ, *shape(k), rows) for k, rows in stores.items()}
 
     def dim(self, k):
         return len(self.tuples.get(k, ()))
@@ -305,32 +332,18 @@ class BlowupComplex:
         """Global cochain embedding in degree k, over Z: columns indexed by
         the k-simplices, rows by the degree-k tuples."""
         if self._embedding is None:
-            stores = {}
-            for s in self.tops:
-                parts = self.parts_of[s]
-                verts = tuple(sorted(a for P in parts for a in P))
-                for r in range(1, len(verts) + 1):
-                    for F in combinations(verts, r):
-                        sign, terms = cochain_embedding_terms(F, parts)
-                        col = self.space.index_of(F)
-                        store = stores.setdefault(r - 1, {})
-                        for t in terms:
-                            i = self.index[t][1]
-                            prev = store.setdefault((i, col), sign)
-                            if prev != sign:
-                                raise AssertionError(
-                                    "inconsistent embedding coefficients")
-            self._embedding = {}
-            for kk, store in stores.items():
-                rows = {}
-                for (i, j), sign in store.items():
-                    rows.setdefault(i, {})[j] = sign
-                self._embedding[kk] = Matrix(
-                    ZZ, self.dim(kk), len(self.space.simplices(kk)), rows)
-        M = self._embedding.get(k)
-        if M is None:
-            return Matrix(ZZ, self.dim(k), len(self.space.simplices(k)))
-        return M
+            self._embedding = self._glue(
+                self._embedding_pieces,
+                lambda k: (self.dim(k), len(self.space.simplices(k))),
+                "inconsistent embedding coefficients")
+        return (self._embedding.get(k)
+                or Matrix(ZZ, self.dim(k), len(self.space.simplices(k))))
+
+    def _embedding_pieces(self, s, T, at):
+        for k in range(len(s)):
+            M, faces = T.cochain_embedding_matrix(k)
+            yield k, M, at[k], [self.space.index_of(tuple([s[i] for i in F]))
+                                for F in faces]
 
 
 def blowup_complex(space):
@@ -383,15 +396,3 @@ def cochain_embedding(space, ring):
     components = {-k: B.embedding_matrix(k).map_ring(ring)
                   for k in range(space.n + 1)}
     return ChainMap(cochain_complex(space, ring), target, components)
-
-
-def cochain_embedding_induced(space, p, ring, k):
-    """The embedding H^k(X) -> H^k of the perversity-p blown-up complex
-    (it lands in the zero-perversity part, which sits inside every GM
-    perversity)."""
-    tw = tw_complex(space, p, ring)
-    M = blowup_complex(space).embedding_matrix(k).map_ring(ring)
-    if not tw.contains(k, M):
-        raise AssertionError("embedding leaves the perverse subcomplex")
-    return InducedMap(cochain_complex(space, ring).homology(-k),
-                      tw.homology(k), M)

@@ -6,11 +6,12 @@ classical cap evaluates a simplicial cochain on the front face of a
 simplex and keeps the back face.  The blown-up cap pairs a
 perversity-bounded blown cochain with a chain: on every regular simplex
 it restricts the cochain to the local blowup, caps factorwise against
-the blown top chain, blows the result down and pushes it forward.  The
-builder tells them apart only by each simplex's list of terms;
-non-regular simplices contribute nothing to either.  The one cap
-computed apart from it is check_local_cap_factorization, which caps
-blown_cap by blown_cap as an independent local oracle.
+the blown top chain, blows the result down and pushes it forward; the
+terms that survive are the cap support of the simplex's template
+(blowup.LocalBlowup), put on its vertices.  The builder tells the caps
+apart only by each simplex's list of terms; non-regular simplices
+contribute nothing to either.  check_local_cap_factorization caps apart
+from it, blown_cap by blown_cap, as an independent local oracle.
 
 Capping with the fundamental class gives the duality maps, with a
 degree sign that makes them commute on the nose:
@@ -35,10 +36,10 @@ display for the suspended projective space.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .blowup import (blown_cap, blowup_complex, cochain_embedding_terms,
-                     tuple_degree, tuple_flatten, tw_complex)
+                     template, tuple_flatten, tw_complex)
 from .complexes import ChainMap, InducedMap
 from .filtered import builtin
 from .intersection import (cochain_complex, cohomology, comparison_map,
@@ -76,36 +77,21 @@ def _check_space(space, normal=False):
             raise ValueError(f"input fails the {name} check, witness {witness}")
 
 
-# --- the blown-up cap, one simplex at a time ---
-
-def _cap_support(parts):
-    """All basis tuples of the blowup of parts whose cap against the
-    blown top chain survives the blow-down, with sign and image face,
-    grouped by degree."""
-    n = len(parts) - 1
-    # front faces of every part, and the whole part on each cone factor
-    opts = [[(P[:r + 1], 0) for r in range(len(P))]
-            + ([(P, 1)] if i < n else []) for i, P in enumerate(parts)]
-    out = {}
-    for b in product(*opts):
-        sign, t = blown_cap(b, parts)
-        G = tuple_flatten(t)
-        if G is None:
-            continue
-        out.setdefault(tuple_degree(b), []).append((b, sign, G))
-    return out
-
+# --- the blown-up cap, one template per join shape ---
 
 def _support_of(space, si, m):
+    """The cap support of the template of the m-simplex si, put on it:
+    (tuple, sign, image simplex index) triples by degree."""
     key = ("cap_support", m, si)
     sup = space.cache.get(key)
     if sup is None:
         s = space.simplices(m)[si]
-        parts = space.join_decomposition(s).parts
-        raw = _cap_support(parts)
-        sup = {k: tuple((b, sg, space.index_of(G)) for b, sg, G in triples)
-               for k, triples in raw.items()}
-        space.cache[key] = sup
+        T = template(space, s)
+        put = T.put(s)
+        sup = space.cache[key] = {
+            k: tuple((put[k][i], sg, space.index_of(tuple([s[a] for a in G])))
+                     for i, sg, G in triples)
+            for k, triples in T.cap_support.items()}
     return sup
 
 

@@ -28,7 +28,8 @@ allowable(k), None), and the group of degree k under ("group", k,
 allowable(k), allowable(k - step)), with None for an empty set
 (memo_key).  Simplicial homology is the chain group under the key that
 allows every simplex, so it is the very intersection homology group of
-each perversity that allows every simplex of degrees k and k + 1.
+each perversity that allows every simplex of degrees k and k + 1.  The
+set allowing all n elements is one tuple per memo, ("everything", n).
 
 The group that allows everything in degrees k + step and k has the
 whole differential D out of degree k as its boundaries, which its
@@ -116,6 +117,14 @@ def memo_key(kind, k, allowable, j):
     return kind, k, tuple(allowable(k)), tuple(allowable(j)) or None
 
 
+def everything(memo, n):
+    """The set allowing all n elements: one tuple per memo and length,
+    which every key holding it shares."""
+    if ("everything", n) not in memo:
+        memo["everything", n] = tuple(range(n))
+    return memo["everything", n]
+
+
 def shared_basis(memo, key, D):
     """The basis under key = ("basis", k, cols, good) in memo: the
     chains on the columns cols of D whose image under D lies on the
@@ -138,8 +147,8 @@ def shared_group(memo, k, allowable, step, D, boundaries):
     key = memo_key("group", k, allowable, k - step)
     H = memo.get(key)
     if H is None:
-        below = memo.get(("group", k + step, tuple(range(D.nrows)),
-                          tuple(range(D.ncols)) or None))
+        below = memo.get(("group", k + step, everything(memo, D.nrows),
+                          everything(memo, D.ncols) or None))
         Z = shared_basis(memo, ("basis", k, key[2], None),
                          cycle_matrix(D, below))
         H = memo[key] = group_from_cycles(D.ring, D.ncols, Z, boundaries())
@@ -245,8 +254,9 @@ def chain_homology(K, k, ring):
     """
     if not 0 <= k <= K.top_dim():
         return HomologyGroup.trivial(ring)
-    return shared_group(chain_memo(K, ring), k,
-                        lambda j: range(len(K.simplices(j))), -1,
+    memo = chain_memo(K, ring)
+    return shared_group(memo, k,
+                        lambda j: everything(memo, len(K.simplices(j))), -1,
                         K.boundary_matrix(k, ring),
                         lambda: K.boundary_matrix(k + 1, ring))
 

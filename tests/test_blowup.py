@@ -1,12 +1,23 @@
 """Blown-up cochain complexes: tuples, differentials, perverse subcomplexes."""
 
+import copy
+import random
+from itertools import combinations, product
+
 import pytest
 
+from ihomology import blowup, cap
 from ihomology.blowup import (LocalBlowup, blown_cap, blowup_complex,
-                              cochain_embedding, cochain_embedding_induced,
-                              cochain_embedding_terms, tuple_allowable,
-                              tuple_degree, tuple_flatten, tuple_norm,
-                              tw_cohomology, tw_comparison, tw_complex)
+                              cochain_embedding, cochain_embedding_terms,
+                              cone_faces, last_faces, tuple_allowable,
+                              tuple_cofacets, tuple_degree, tuple_flatten,
+                              tuple_norm, tw_cohomology, tw_comparison,
+                              tw_complex)
+from ihomology.complexes import InducedMap
+from ihomology.filtered import (FilteredComplex, parse_complex,
+                                projective_space, simplex_sphere, suspension)
+from ihomology.intersection import cochain_complex
+from ihomology.matrices import Matrix
 from ihomology.perversity import clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 from ihomology.snf import hermite_column_form
@@ -138,10 +149,17 @@ def test_embedding_is_chain_map(s4, rp3, sigma_rp3):
 
 
 def test_embedding_induces_isomorphism(sigma_rp3):
-    # ordinary cohomology is the zero-perversity blown-up cohomology
+    # ordinary cohomology is the zero-perversity blown-up cohomology; the
+    # embedding lands in the zero-perversity part, which sits inside
+    # every GM perversity
+    tw = tw_complex(sigma_rp3, zero(4), ZZ)
+    C = cochain_complex(sigma_rp3, ZZ)
+    B = blowup_complex(sigma_rp3)
     for k in range(5):
-        ind = cochain_embedding_induced(sigma_rp3, zero(4), ZZ, k)
-        assert ind.is_isomorphism()
+        M = B.embedding_matrix(k)
+        assert tw.contains(k, M), k
+        assert InducedMap(C.homology(-k), tw.homology(k),
+                          M).is_isomorphism(), k
 
 
 def test_embedding_identity_on_trivial_filtration(s4):
@@ -199,3 +217,191 @@ def test_tw_comparison_maps(sigma_rp3):
     assert not gain.is_isomorphism()
     with pytest.raises(ValueError):
         tw_comparison(sigma_rp3, top(4), zero(4), ZZ, 0)
+
+
+# --- one template per join shape, against the direct construction ---
+
+def relabelled(K, seed):
+    """K with its vertices shuffled inside each stratum, so that the
+    vertex order still refines the stratum order."""
+    rng = random.Random(seed)
+    perm = list(range(K.vertex_count))
+    for stratum in sorted(set(K.strata)):
+        run = [v for v in perm if K.strata[v] == stratum]
+        for v, w in zip(run, rng.sample(run, len(run))):
+            perm[v] = w
+    names = [None] * K.vertex_count
+    for v, w in enumerate(perm):
+        names[w] = K.vertex_names[v]
+    return FilteredComplex(K.n, names, K.strata,
+                           [[perm[v] for v in f] for f in K.facets])
+
+
+def fresh_spaces(wedge_text):
+    return {"s4": simplex_sphere(4),
+            "rp3": projective_space(4),
+            "sigma-rp3": suspension(projective_space(4)),
+            "wedge": parse_complex(wedge_text),
+            "sigma-rp3-relabelled": relabelled(
+                suspension(projective_space(4)), 17)}
+
+
+def direct_blowup(space):
+    """The blown-up complex built simplex by simplex from the real join
+    parts: the product of cone faces with tuple_cofacets for the
+    coboundary, cochain_embedding_terms per face for the embedding, and
+    blown_cap with tuple_flatten for the cap support of every regular
+    simplex.  Rows and entries come in order of first arrival."""
+    tops = [s for s in space.simplices(space.n) if space.is_regular(s)]
+    parts_of = {s: space.join_decomposition(s).parts for s in tops}
+
+    def made(parts):
+        factors = [cone_faces(P) for P in parts[:-1]]
+        return product(*factors, last_faces(parts[-1]))
+
+    seen = {}
+    for s in tops:
+        for b in made(parts_of[s]):
+            seen.setdefault(tuple_degree(b), set()).add(b)
+    tuples = {k: sorted(v) for k, v in seen.items()}
+    index = {b: (k, i) for k, tl in tuples.items() for i, b in enumerate(tl)}
+    D, E = {}, {}
+    for s in tops:
+        parts = parts_of[s]
+        for b in made(parts):
+            k, j = index[b]
+            for b2, sign in tuple_cofacets(b, parts):
+                D.setdefault(k, {}).setdefault(index[b2][1], {})[j] = sign
+        for r in range(1, len(s) + 1):
+            for F in combinations(s, r):
+                sign, terms = cochain_embedding_terms(F, parts)
+                for t in terms:
+                    E.setdefault(r - 1, {}).setdefault(
+                        index[t][1], {})[space.index_of(F)] = sign
+    support = {}
+    for m in range(space.n + 1):
+        for si, s in enumerate(space.simplices(m)):
+            if not space.is_regular(s):
+                continue
+            parts = space.join_decomposition(s).parts
+            opts = [[(P[:r + 1], 0) for r in range(len(P))]
+                    + ([(P, 1)] if i < space.n else [])
+                    for i, P in enumerate(parts)]
+            sup = {}
+            for b in product(*opts):
+                sign, t = blown_cap(b, parts)
+                G = tuple_flatten(t)
+                if G is not None:
+                    sup.setdefault(tuple_degree(b), []).append(
+                        (b, sign, space.index_of(G)))
+            support[m, si] = {k: tuple(v) for k, v in sup.items()}
+    return tuples, index, D, E, support
+
+
+def in_order(M):
+    return M.nrows, M.ncols, [(i, list(r.items())) for i, r in M.rows.items()]
+
+
+def test_templates_give_the_direct_construction(wedge_text):
+    # every matrix equal to the direct one, rows and entries in the same
+    # order, on every regular simplex of every degree
+    for name, X in fresh_spaces(wedge_text).items():
+        tuples, index, D, E, support = direct_blowup(X)
+        B = blowup_complex(X)
+        assert B.tuples == tuples and B.index == index, name
+        for k in range(B.top + 1):
+            want = Matrix(ZZ, B.dim(k + 1), B.dim(k), D.get(k, {}))
+            assert in_order(B.differential(k)) == in_order(want), (name, k)
+        for k in range(X.n + 1):
+            want = Matrix(ZZ, B.dim(k), len(X.simplices(k)), E.get(k, {}))
+            assert in_order(B.embedding_matrix(k)) == in_order(want), \
+                (name, k)
+        for (m, si), sup in support.items():
+            assert cap._support_of(X, si, m) == sup, (name, m, si)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the LocalBlowup constructions from here on."""
+    made = []
+
+    class Counted(LocalBlowup):
+        def __init__(self, parts):
+            super().__init__(parts)
+            made.append(self.parts)
+
+    monkeypatch.setattr(blowup, "LocalBlowup", Counted)
+    return made
+
+
+def test_one_local_blowup_per_join_shape(built, wedge_text):
+    X = suspension(projective_space(4))
+    B = blowup_complex(X)
+    for k in range(X.n + 1):
+        B.embedding_matrix(k)
+    cap._blown_caps(X, ZZ)
+    assert len(built) == 1
+    del built[:]
+    W = parse_complex(wedge_text)
+    B = blowup_complex(W)
+    for k in range(W.n + 1):
+        B.embedding_matrix(k)
+    cap._blown_caps(W, ZZ)
+    assert sorted(tuple(map(len, P)) for P in built) == [
+        (0, 0, 3), (1, 0, 2)]
+    # every join profile of a regular simplex of sigma-rp3, as counted by
+    # test_per_simplex_embedding_matches_kernel
+    del built[:]
+    cap.check_chain_identity(suspension(projective_space(4)))
+    assert len(built) == 8
+
+
+def flip_one(monkeypatch, space, kind):
+    """Makes template() give the top simplex (p, a, b) of the wedge a copy
+    of its template with one sign flipped, at an entry it shares with
+    the top simplex (a, b, c): the coboundary from ((), 1), ((), 1),
+    ((a,), 0) to the same with the edge (a, b), or the embedding of the
+    edge (a, b)."""
+    target = tuple(space.vertex_names.index(v) for v in "pab")
+    real = blowup.template
+    head = ((), 1), ((), 1)
+
+    def flipped(X, s):
+        T = real(X, s)
+        if X is not space or tuple(s) != target:
+            return T
+        bad = copy.copy(T)
+        if kind == "coboundary":
+            k, j = T.index[head + (((1,), 0),)]
+            i = T.index[head + (((1, 2), 0),)][1]
+            M = T.differential(k)
+            bad.differential = lambda d: (
+                flip(M, i, j) if d == k else T.differential(d))
+        else:
+            k, i = T.index[head + (((1, 2), 0),)]
+            M, faces = T.cochain_embedding_matrix(k)
+            bad.cochain_embedding_matrix = lambda d: (
+                (flip(M, i, faces.index((1, 2))), faces) if d == k
+                else T.cochain_embedding_matrix(d))
+        return bad
+
+    def flip(M, i, j):
+        assert M.rows[i][j]
+        rows = {r: dict(row) for r, row in M.rows.items()}
+        rows[i][j] = -rows[i][j]
+        return Matrix(M.ring, M.nrows, M.ncols, rows)
+
+    monkeypatch.setattr(blowup, "template", flipped)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("coboundary", "inconsistent blown-up coboundary"),
+    ("embedding", "inconsistent embedding coefficients")])
+def test_glue_checks_catch_a_flipped_local_sign(monkeypatch, wedge_text,
+                                                kind, message):
+    W = parse_complex(wedge_text)
+    flip_one(monkeypatch, W, kind)
+    with pytest.raises(AssertionError, match=message):
+        B = blowup_complex(W)
+        for k in range(W.n + 1):
+            B.embedding_matrix(k)
