@@ -4,7 +4,10 @@ Homology is computed as a subquotient of the ambient chain module: a
 basis of cycles in the canonical echelon form of snf.kernel (the
 Hermite form over Z, the reduced column echelon form over a field, the
 Howell form over a composite Z/m), the boundary columns solved in that
-basis by snf.hermite_solve, and the Smith form of the result.  This
+basis by snf.hermite_solve, the unit-pivot sweep of those coordinates
+(snf.unit_pivots, mirrored), and the Smith form of only what the sweep
+sets aside.  The unit invariant factors drop out with the pivots, so
+the orders are those of the Smith form of all the coordinates.  This
 gives ranks, torsion, explicit generating cycles, and well-defined
 coordinates of arbitrary cycles in the generators, which is what the
 product and duality checks need; a cycle's coordinates come from the
@@ -25,8 +28,8 @@ free; no degree is built only to prune another.
 
 Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
-join the boundary coordinates before the Smith form; the invariant
-factors all divide m, and a free summand Z/m gets order m.
+join the boundary coordinates before the sweep; the invariant factors
+all divide m, and a free summand Z/m gets order m.
 
 A HomologyGroup is never changed after it is built, so one object may
 serve several complexes: the perverse (co)homology groups and the
@@ -44,6 +47,7 @@ from .snf import (
     kernel,
     pivot_rows,
     smith_normal_form,
+    unit_pivots,
 )
 
 
@@ -100,12 +104,6 @@ class HomologyGroup:
         """
         return self._coord_fn(v)
 
-    def class_equal(self, u, v):
-        return self.coords(u) == self.coords(v)
-
-    def is_zero_class(self, v):
-        return all(c == 0 for c in self.coords(v))
-
     def __str__(self):
         R = self.ring
         if isinstance(R, IntegerRing):
@@ -135,10 +133,18 @@ def group_from_cycles(ring, ambient_dim, Zb, B):
     Zb is a cycle basis in the echelon form of hermite_column_form
     (from kernel(), or the cycles on the allowable elements of a
     perverse complex), so hermite_solve gives boundaries and cycles
-    their cycle coordinates and rejects a boundary outside the span.
-    Over a composite Z/m, kernel(Zb) holds the relations among the
-    cycle generators, and a zero diagonal entry of the Smith form gives
-    order m.
+    their cycle coordinates, Y and w, and rejects a boundary outside
+    the span.  Over a composite Z/m the relations kernel(Zb) join Y.
+
+    unit_pivots sweeps Y mirrored: its columns last to first, each
+    reduced at its first row, which keeps the last generators free and
+    the fill-in low.  Each pivot P_r has its 1 at row r and its other
+    entries on the free rows, where the set-aside residual A lies too,
+    so Y is equivalent to diag(I, A).  The orders are the non-unit
+    invariant factors of A's Smith form S, then one per zero of its
+    diagonal: Y's own.  A cycle's coordinates are S.U (w - sum_r w_r
+    P_r) on the free rows, and the generators are Zb times the columns
+    of S.Uinv put on the free rows.
     """
     Y = hermite_solve(Zb, B)
     if Y is None:
@@ -150,34 +156,37 @@ def group_from_cycles(ring, ambient_dim, Zb, B):
     if isinstance(ring, ZmodRing) and not ring.is_field:
         Y = Y.hstack(kernel(Zb))
         free = ring.m
-    snfY = smith_normal_form(Y, transforms=("U", "Uinv"))
-    orders_raw = list(snfY.diag) + [0] * (z - snfY.rank)
-    Uinv_cols = snfY.Uinv.columns()
+    # row r of Y is index z - 1 - r of the swept vectors
+    Yc = Y.columns()
+    pivots, aside = unit_pivots(ring, (
+        {z - 1 - r: e for r, e in Yc[j].items()} for j in sorted(Yc, reverse=True)))
+    gens = [r for r in range(z) if z - 1 - r not in pivots]
+    at = {z - 1 - r: k for k, r in enumerate(gens)}
+    S = smith_normal_form(Matrix.from_columns(ring, len(gens), [
+        {at[f]: e for f, e in v.items()} for v in aside if v]))
+    # T w is w - sum_r w_r P_r on the free rows
+    T = Matrix(ring, len(gens), z, {k: {r: ring.one} for k, r in enumerate(gens)})
+    for c, p in pivots.items():
+        for f in [f for f in p if f != c]:
+            T.rows[at[f]][z - 1 - c] = ring.neg(p[f])
+    Uinv = S.Uinv.columns()
     keep = []
     orders = []
     reps = []
-    for i, d in enumerate(orders_raw):
-        if d != 0 and ring.is_unit(ring.el(d)):
+    for i, d in enumerate(list(S.diag) + [0] * (len(gens) - S.rank)):
+        if d != 0 and ring.is_unit(d):
             continue
-        gen = Zb @ dict(Uinv_cols.get(i, {}))
         keep.append(i)
         orders.append(d if d else free)
-        reps.append(gen)
-
-    U_Y = snfY.U
+        reps.append(Zb @ {gens[k]: e for k, e in Uinv.get(i, {}).items()})
 
     def coord_fn(v):
         w = hermite_solve_vector(Zb, v)
         if w is None:
             raise ValueError("not a cycle")
-        t = U_Y @ w
-        out = []
-        for i, d in zip(keep, orders):
-            c = t.get(i, ring.zero)
-            if d:
-                c = c % d
-            out.append(c)
-        return tuple(out)
+        t = S.U @ (T @ w)
+        return tuple(t.get(i, ring.zero) % d if d else t.get(i, ring.zero)
+                     for i, d in zip(keep, orders))
 
     return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn, Zb)
 
@@ -286,12 +295,6 @@ class PresentedComplex:
         return PresentedComplex(
             self.ring, {k - n: d for k, d in self.dims.items()},
             {k - n: M for k, M in self.boundaries.items()}, check=False)
-
-    def map_ring(self, ring):
-        return PresentedComplex(
-            ring, dict(self.dims),
-            {k: M.map_ring(ring) for k, M in self.boundaries.items()},
-            check=False)
 
 
 class ChainMap:

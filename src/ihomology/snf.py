@@ -1,16 +1,22 @@
 """Smith normal form, echelon bases, kernels and echelon solves.
 
 The eliminator reduces a sparse matrix to diagonal form by invertible row
-and column operations, optionally tracking the transforms: U @ M @ V == D
+and column operations, tracking the transforms or not: U @ M @ V == D
 with d_1 | d_2 | ... along the diagonal.  It works over any of the rings
 in rings.py; over Z/m the Bezout steps are computed on canonical lifts,
 so every 2x2 block used is invertible mod m.
 
 Pivoting prefers units and sparse rows/columns (a cheap Markowitz rule),
-which keeps fill-in tame on boundary matrices.  Columns are searched in
-the explicit sorted order (row count, then column index), read off a
-lazy min-heap instead of a full sort per pivot, so results are
-deterministic.
+which keeps fill-in tame on the large matrices invariant_factors may
+get.  Columns are searched in the explicit sorted order (row count,
+then column index), read off a lazy min-heap instead of a full sort per
+pivot, so results are deterministic.
+
+Kernels and homology groups first run one unit-pivot sweep
+(unit_pivots; Dumas, Heckenbach, Saunders & Welker 2003): kernel on
+the rows of M, complexes.group_from_cycles mirrored on the columns of
+its boundary coordinates.  Only the small residual the sweep sets
+aside goes on, to integer_kernel or to smith_normal_form.
 
 Bases of column spans are kept in one canonical echelon form
 (hermite_column_form): the column Hermite form over Z, the reduced
@@ -21,9 +27,7 @@ unique for the span, so the order of the steps is free: each pivot
 column is the one with the smallest entry, then the fewest entries,
 then the latest next row, and a row index sends each new pivot only
 to the earlier pivot columns with an entry in its row.  Kernels come
-in that form from one elimination for every ring (kernel): each row
-pivots at its rightmost column when that entry is a unit and is set
-aside when it is not, and only the residual of the set-aside rows goes
+in that form for every ring (kernel): the sweep's residual goes
 through the echelon form of itself stacked on the identity
 (integer_kernel); the kernel vectors of the free columns that residual
 touches are combined through its kernel, and the others are kept as
@@ -127,24 +131,14 @@ class _Eliminator:
         # count pushes the new pair, and stale pairs are dropped when popped
         self.heap = [(len(s), j) for j, s in self.colrows.items()]
         heapq.heapify(self.heap)
-        if transforms is True:
-            wanted = {"U", "Uinv", "V", "Vinv"}
-        elif not transforms:
-            wanted = set()
-        else:
-            wanted = set(transforms)
-        self.tU = "U" in wanted
-        self.tUinv = "Uinv" in wanted
-        self.tV = "V" in wanted
-        self.tVinv = "Vinv" in wanted
-        one = R.el(1)
-        if self.tU:
+        if not isinstance(transforms, bool):
+            raise TypeError("transforms is True or False")
+        self.track = transforms
+        if transforms:
+            one = R.el(1)
             self.U = {i: {i: one} for i in range(self.nrows)}
-        if self.tUinv:
             self.Uinv_cols = {i: {i: one} for i in range(self.nrows)}
-        if self.tV:
             self.V_cols = {j: {j: one} for j in range(self.ncols)}
-        if self.tVinv:
             self.Vinv = {j: {j: one} for j in range(self.ncols)}
         self.rank = 0
 
@@ -268,21 +262,19 @@ class _Eliminator:
 
     def row_axpy(self, i, k, c):
         self._m_row_axpy(i, k, c)
-        R = self.R
-        if self.tU:
+        if self.track:
+            R = self.R
             _axpy(R, self.U.setdefault(i, {}), self.U.get(k, {}), c)
-        if self.tUinv:
             _axpy(R, self.Uinv_cols.setdefault(k, {}), self.Uinv_cols.get(i, {}), R.neg(c))
 
     def row_2x2(self, i, k, s, t, u, v):
         self._m_row_2x2(i, k, s, t, u, v)
-        R = self.R
-        if self.tU:
+        if self.track:
+            R = self.R
             Ui = self.U.pop(i, {})
             Uk = self.U.pop(k, {})
             self.U[i] = _combine(R, Ui, Uk, s, t)
             self.U[k] = _combine(R, Ui, Uk, u, v)
-        if self.tUinv:
             dinv = R.inv(R.sub(R.mul(s, v), R.mul(t, u)))
             Ci = self.Uinv_cols.pop(i, {})
             Ck = self.Uinv_cols.pop(k, {})
@@ -291,29 +283,26 @@ class _Eliminator:
 
     def row_swap(self, i, k):
         self._m_row_swap(i, k)
-        if self.tU:
+        if self.track:
             self.U[i], self.U[k] = self.U.pop(k, {}), self.U.pop(i, {})
-        if self.tUinv:
             self.Uinv_cols[i], self.Uinv_cols[k] = (
                 self.Uinv_cols.pop(k, {}), self.Uinv_cols.pop(i, {}))
 
     def col_axpy(self, j, l, c):
         self._m_col_axpy(j, l, c)
-        R = self.R
-        if self.tV:
+        if self.track:
+            R = self.R
             _axpy(R, self.V_cols.setdefault(j, {}), self.V_cols.get(l, {}), c)
-        if self.tVinv:
             _axpy(R, self.Vinv.setdefault(l, {}), self.Vinv.get(j, {}), R.neg(c))
 
     def col_2x2(self, j, l, s, t, u, v):
         self._m_col_2x2(j, l, s, t, u, v)
-        R = self.R
-        if self.tV:
+        if self.track:
+            R = self.R
             Vj = self.V_cols.pop(j, {})
             Vl = self.V_cols.pop(l, {})
             self.V_cols[j] = _combine(R, Vj, Vl, s, t)
             self.V_cols[l] = _combine(R, Vj, Vl, u, v)
-        if self.tVinv:
             dinv = R.inv(R.sub(R.mul(s, v), R.mul(t, u)))
             Wj = self.Vinv.pop(j, {})
             Wl = self.Vinv.pop(l, {})
@@ -322,18 +311,16 @@ class _Eliminator:
 
     def col_swap(self, j, l):
         self._m_col_swap(j, l)
-        if self.tV:
+        if self.track:
             self.V_cols[j], self.V_cols[l] = (
                 self.V_cols.pop(l, {}), self.V_cols.pop(j, {}))
-        if self.tVinv:
             self.Vinv[j], self.Vinv[l] = self.Vinv.pop(l, {}), self.Vinv.pop(j, {})
 
     def col_scale(self, j, c):
         self._m_col_scale(j, c)
-        R = self.R
-        if self.tV:
+        if self.track:
+            R = self.R
             self.V_cols[j] = {i: R.mul(c, v) for i, v in self.V_cols.get(j, {}).items()}
-        if self.tVinv:
             cinv = R.inv(c)
             self.Vinv[j] = {i: R.mul(cinv, v) for i, v in self.Vinv.get(j, {}).items()}
 
@@ -490,25 +477,22 @@ class _Eliminator:
     def result(self):
         R = self.R
         diag = [self.rows[q][q] for q in range(self.rank)]
-        U = Uinv = V = Vinv = None
-        if self.tU:
-            U = Matrix(R, self.nrows, self.nrows,
-                       {i: dict(r) for i, r in self.U.items() if r})
-        if self.tUinv:
-            Uinv = Matrix.from_columns(
-                R, self.nrows, [self.Uinv_cols.get(i, {}) for i in range(self.nrows)])
-        if self.tV:
-            V = Matrix.from_columns(
-                R, self.ncols, [self.V_cols.get(j, {}) for j in range(self.ncols)])
-        if self.tVinv:
-            Vinv = Matrix(R, self.ncols, self.ncols,
-                          {j: dict(r) for j, r in self.Vinv.items() if r})
+        if not self.track:
+            return SNFResult(R, self.nrows, self.ncols, diag)
+        U = Matrix(R, self.nrows, self.nrows,
+                   {i: dict(r) for i, r in self.U.items() if r})
+        Uinv = Matrix.from_columns(
+            R, self.nrows, [self.Uinv_cols.get(i, {}) for i in range(self.nrows)])
+        V = Matrix.from_columns(
+            R, self.ncols, [self.V_cols.get(j, {}) for j in range(self.ncols)])
+        Vinv = Matrix(R, self.ncols, self.ncols,
+                      {j: dict(r) for j, r in self.Vinv.items() if r})
         return SNFResult(R, self.nrows, self.ncols, diag, U, Uinv, V, Vinv)
 
 
 def smith_normal_form(M, transforms=True):
-    """Smith form of M; transforms may be True, False, or a subset of
-    {"U", "Uinv", "V", "Vinv"} naming the change-of-basis matrices to track."""
+    """Smith form of M, with the four transforms U, Uinv, V and Vinv
+    when transforms is True and with none when it is False."""
     work = _Eliminator(M, transforms)
     work.run()
     return work.result()
@@ -636,53 +620,66 @@ def integer_kernel(M):
                                       for j in range(H.ncols) if min(Hc[j]) >= r])
 
 
+def unit_pivots(R, vectors):
+    """The unit-pivot sweep of the sparse vectors, taken in order and
+    changed in place: returns (pivots, aside).
+
+    Each vector is reduced at its largest index while a pivot sits
+    there; else it becomes the pivot there, scaled to 1, if its entry
+    is a unit, and is set aside if not.  Back-substitution leaves each
+    pivot P_c with its 1 at c and its other entries at pivot-free
+    indices f < c, and the set-aside vectors, reduced by the pivots,
+    only at such indices.  Every step is invertible, so the output
+    spans what the input spans.
+    """
+    pivots = {}
+    aside = []
+    for v in vectors:
+        while v:
+            c = max(v)
+            p = pivots.get(c)
+            if p is not None:
+                _axpy(R, v, p, R.neg(v[c]))
+            elif R.is_unit(v[c]):
+                inv = R.inv(v[c])
+                pivots[c] = {k: R.mul(inv, x) for k, x in v.items()}
+                break
+            else:
+                aside.append(v)
+                break
+    for c in sorted(pivots):
+        p = pivots[c]
+        for d in [d for d in p if d != c and d in pivots]:
+            _axpy(R, p, pivots[d], R.neg(p[d]))
+    for v in aside:
+        for c in [c for c in v if c in pivots]:
+            _axpy(R, v, pivots[c], R.neg(v[c]))
+    return pivots, aside
+
+
 def kernel(M):
     """Canonical basis of ker(M) over any ring, as matrix columns: the
     Hermite basis over Z, the Howell basis over a composite Z/m (the
     kernel need not be free there, but this basis spans it) and the
     reduced column echelon basis over a field.
 
-    One elimination, no transforms: each row is reduced at its largest
-    column while a pivot row sits there; else it becomes that column's
-    pivot row, scaled to 1, if that entry is a unit, and is set aside if
-    not.  After back-substitution each pivot row P_c has its 1 at c and
-    its other entries at free columns f < c, and the columns
-    v_f = e_f - sum_c P_c[f] e_c of V are the basis over a field, where
-    nothing is set aside.  Otherwise the set-aside rows, reduced by the
-    pivot rows, are a residual D on the free columns, and ker(M) is V
-    ker(D).  Each v_f starts at f with a 1 and equals e_f on the free
-    rows, so V keeps first entries and the entries at free rows: V times
-    the canonical basis of ker(D) (from integer_kernel on the columns D
-    touches, e_f on the rest) is the canonical basis of ker(M).  That
-    product is never formed: a free column D does not touch gives v_f
-    as it stands, under its place in the output, and only the v_f of
-    the touched columns are combined, through the basis of ker(D).
+    unit_pivots sweeps M's rows in index order, with no transforms.  The
+    pivot rows P_c then hold their 1 at c and their other entries at
+    free columns f < c, and the columns v_f = e_f - sum_c P_c[f] e_c of
+    V are the basis over a field, where nothing is set aside.
+    Otherwise the set-aside rows are a residual D on the free columns,
+    and ker(M) is V ker(D).  Each v_f starts at f with a 1 and equals
+    e_f on the free rows, so V keeps first entries and the entries at
+    free rows: V times the canonical basis of ker(D) (from
+    integer_kernel on the columns D touches, e_f on the rest) is the
+    canonical basis of ker(M).  That product is never formed: a free
+    column D does not touch gives v_f as it stands, under its place in
+    the output, and only the v_f of the touched columns are combined,
+    through the basis of ker(D).
     """
     R = M.ring
-    pivots = {}
-    aside = []
-    for i in sorted(M.rows):
-        row = dict(M.rows[i])
-        while row:
-            c = max(row)
-            p = pivots.get(c)
-            if p is not None:
-                _axpy(R, row, p, R.neg(row[c]))
-            elif R.is_unit(row[c]):
-                inv = R.inv(row[c])
-                pivots[c] = {k: R.mul(inv, v) for k, v in row.items()}
-                break
-            else:
-                aside.append(row)
-                break
-    for c in sorted(pivots):
-        p = pivots[c]
-        for d in [d for d in p if d != c and d in pivots]:
-            _axpy(R, p, pivots[d], R.neg(p[d]))
+    pivots, aside = unit_pivots(R, (dict(M.rows[i]) for i in sorted(M.rows)))
     free = [f for f in range(M.ncols) if f not in pivots]
-    for row in aside:
-        for c in [c for c in row if c in pivots]:
-            _axpy(R, row, pivots[c], R.neg(row[c]))
     touched = sorted({f for row in aside for f in row})
     at = {f: k for k, f in enumerate(touched)}
     # ker(D) as (first entry, vector over the free columns)

@@ -446,7 +446,7 @@ def test_field_kernel_is_the_reduced_echelon_kernel(R):
     for i in range(1000):
         M = random_matrix(rng, R, i)
         K = kernel(M)
-        smith = smith_normal_form(M, transforms=("V",))
+        smith = smith_normal_form(M, transforms=True)
         Vc = smith.V.columns()
         want = hermite_column_form(Matrix.from_columns(
             R, M.ncols, [Vc.get(j, {}) for j in range(smith.rank, M.ncols)]))
