@@ -287,9 +287,6 @@ class PresentedComplex:
                     self._homology.get(k - 1))
         return self._homology[k]
 
-    def euler_characteristic(self):
-        return sum((-1) ** k * n for k, n in self.dims.items())
-
     def shifted(self, n):
         """The same complex regraded so that degree k sits at k - n."""
         return PresentedComplex(

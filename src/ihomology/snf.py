@@ -6,17 +6,16 @@ with d_1 | d_2 | ... along the diagonal.  It works over any of the rings
 in rings.py; over Z/m the Bezout steps are computed on canonical lifts,
 so every 2x2 block used is invertible mod m.
 
-Pivoting prefers units and sparse rows/columns (a cheap Markowitz rule),
-which keeps fill-in tame on the large matrices invariant_factors may
-get.  Columns are searched in the explicit sorted order (row count,
-then column index), read off a lazy min-heap instead of a full sort per
-pivot, so results are deterministic.
-
-Kernels and homology groups first run one unit-pivot sweep
-(unit_pivots; Dumas, Heckenbach, Saunders & Welker 2003): kernel on
-the rows of M, complexes.group_from_cycles mirrored on the columns of
-its boundary coordinates.  Only the small residual the sweep sets
-aside goes on, to integer_kernel or to smith_normal_form.
+Kernels, homology groups and invariant_factors first run one
+unit-pivot sweep (unit_pivots; Dumas, Heckenbach, Saunders & Welker
+2003): kernel and invariant_factors on the rows of M,
+complexes.group_from_cycles mirrored on the columns of its boundary
+coordinates.  Only the small residual the sweep sets aside goes on, to
+integer_kernel or to smith_normal_form, so the eliminator is a plain
+Smith form (Kannan & Bachem 1979).  Its pivot is the smallest entry (a
+unit needs no Bezout step), then the smallest Markowitz cost
+(r - 1)(c - 1) of its row and column counts, then the first (row,
+column), so results are deterministic.
 
 Bases of column spans are kept in one canonical echelon form
 (hermite_column_form): the column Hermite form over Z, the reduced
@@ -38,7 +37,8 @@ with the other rows of the basis checks that every vector lies in its
 span.
 """
 
-import heapq
+from collections import Counter
+from itertools import chain
 
 from .matrices import Matrix
 from .rings import ZmodRing
@@ -91,12 +91,6 @@ class SNFResult:
         self.V = V
         self.Vinv = Vinv
 
-    def D_matrix(self):
-        D = Matrix(self.ring, self.nrows, self.ncols)
-        for p, d in enumerate(self.diag):
-            D.set(p, p, d)
-        return D
-
     def solve(self, b):
         """Return one x with M @ x == b, or None if there is none.
 
@@ -117,377 +111,171 @@ class SNFResult:
         return self.V @ y
 
 
+def _step(R, vecs, i, k, s, t, u, v):
+    """vecs[i], vecs[k] = s vecs[i] + t vecs[k], u vecs[i] + v vecs[k],
+    on a dict of sparse vectors that omits the empty ones."""
+    x, y = vecs.pop(i, {}), vecs.pop(k, {})
+    for key, w in ((i, _combine(R, x, y, s, t)), (k, _combine(R, x, y, u, v))):
+        if w:
+            vecs[key] = w
+
+
 class _Eliminator:
+    """A plain Smith form of a matrix on its dict of sparse rows.
+
+    Every step is one invertible 2x2 step [[s, t], [u, v]] on two rows
+    or on two columns.  With transforms, the rows of U and the columns
+    of V take the same step, and the columns of Uinv and the rows of
+    Vinv its inverse transpose, so U @ M @ V is the matrix at hand and
+    U @ Uinv == I throughout.
+    """
+
     def __init__(self, M, transforms):
+        if not isinstance(transforms, bool):
+            raise TypeError("transforms is True or False")
         R = self.R = M.ring
         self.nrows = M.nrows
         self.ncols = M.ncols
         self.rows = {i: dict(r) for i, r in M.rows.items() if r}
-        self.colrows = {}
-        for i, r in self.rows.items():
-            for j in r:
-                self.colrows.setdefault(j, set()).add(i)
-        # lazy min-heap of (row count, column): every change of a column's
-        # count pushes the new pair, and stale pairs are dropped when popped
-        self.heap = [(len(s), j) for j, s in self.colrows.items()]
-        heapq.heapify(self.heap)
-        if not isinstance(transforms, bool):
-            raise TypeError("transforms is True or False")
         self.track = transforms
         if transforms:
-            one = R.el(1)
-            self.U = {i: {i: one} for i in range(self.nrows)}
-            self.Uinv_cols = {i: {i: one} for i in range(self.nrows)}
-            self.V_cols = {j: {j: one} for j in range(self.ncols)}
-            self.Vinv = {j: {j: one} for j in range(self.ncols)}
-        self.rank = 0
+            self.U = {i: {i: R.one} for i in range(M.nrows)}
+            self.Uinv = {i: {i: R.one} for i in range(M.nrows)}
+            self.V = {j: {j: R.one} for j in range(M.ncols)}
+            self.Vinv = {j: {j: R.one} for j in range(M.ncols)}
+        self.swap = (R.zero, R.one, R.one, R.zero)
 
-    # --- raw matrix operations (rows + colrows stay consistent) ---
-
-    def _entry_set(self, i, j, w):
+    def _transform(self, fwd, back, i, k, s, t, u, v):
+        """The step on fwd, its inverse transpose on back."""
         R = self.R
-        row = self.rows.get(i)
-        if R.is_zero(w):
-            if row is not None and row.pop(j, None) is not None:
-                s = self.colrows[j]
-                s.discard(i)
-                if s:
-                    heapq.heappush(self.heap, (len(s), j))
-                else:
-                    del self.colrows[j]
-                if not row:
-                    del self.rows[i]
+        _step(R, fwd, i, k, s, t, u, v)
+        d = R.inv(R.sub(R.mul(s, v), R.mul(t, u)))
+        _step(R, back, i, k, R.mul(d, v), R.neg(R.mul(d, u)),
+              R.neg(R.mul(d, t)), R.mul(d, s))
+
+    def row_step(self, i, k, s, t, u, v):
+        _step(self.R, self.rows, i, k, s, t, u, v)
+        if self.track:
+            self._transform(self.U, self.Uinv, i, k, s, t, u, v)
+
+    def col_step(self, j, l, s, t, u, v):
+        R = self.R
+        for row in self.rows.values():
+            if j in row or l in row:
+                a, b = row.pop(j, R.zero), row.pop(l, R.zero)
+                for key, w in ((j, R.add(R.mul(s, a), R.mul(t, b))),
+                               (l, R.add(R.mul(u, a), R.mul(v, b)))):
+                    if not R.is_zero(w):
+                        row[key] = w
+        if self.track:
+            self._transform(self.V, self.Vinv, j, l, s, t, u, v)
+
+    def _pivot(self):
+        """The pivot among the rows left: the smallest entry, then the
+        smallest Markowitz cost, then the first (row, column); the scan
+        stops at the first unit of cost 0."""
+        R = self.R
+        count = Counter(chain.from_iterable(self.rows.values()))
+        best = None
+        for i in sorted(self.rows):
+            row = self.rows[i]
+            for j in sorted(row):
+                key = (R.size(row[j]), (count[j] - 1) * (len(row) - 1), i, j)
+                if key[:2] == (1, 0):
+                    return i, j
+                if best is None or key < best:
+                    best = key
+        return best[2:]
+
+    def _reduce(self, step, p, k, a, b):
+        """Clear the entry b of row or column k against the pivot a at p."""
+        R = self.R
+        if R.divides(a, b):
+            step(k, p, R.one, R.neg(R.div(b, a)), R.zero, R.one)
         else:
-            if row is None:
-                row = self.rows[i] = {}
-            if j not in row:
-                s = self.colrows.setdefault(j, set())
-                s.add(i)
-                heapq.heappush(self.heap, (len(s), j))
-            row[j] = w
-
-    def _m_row_axpy(self, i, k, c):
-        R = self.R
-        src = self.rows.get(k)
-        if not src:
-            return
-        for j, v in list(src.items()):
-            w = R.add(self.rows.get(i, {}).get(j, R.zero), R.mul(c, v))
-            self._entry_set(i, j, w)
-
-    def _m_row_2x2(self, i, k, s, t, u, v):
-        R = self.R
-        ri = self.rows.pop(i, {})
-        rk = self.rows.pop(k, {})
-        touched = set(ri) | set(rk)
-        for j in touched:
-            cs = self.colrows.get(j)
-            if cs is not None:
-                cs.discard(i)
-                cs.discard(k)
-                if not cs:
-                    del self.colrows[j]
-        ni = _combine(R, ri, rk, s, t)
-        nk = _combine(R, ri, rk, u, v)
-        if ni:
-            self.rows[i] = ni
-            for j in ni:
-                self.colrows.setdefault(j, set()).add(i)
-        if nk:
-            self.rows[k] = nk
-            for j in nk:
-                self.colrows.setdefault(j, set()).add(k)
-        for j in touched:
-            cs = self.colrows.get(j)
-            if cs is not None:
-                heapq.heappush(self.heap, (len(cs), j))
-
-    def _m_row_swap(self, i, k):
-        ri = self.rows.pop(i, None)
-        rk = self.rows.pop(k, None)
-        for j in set(ri or ()) | set(rk or ()):
-            cs = self.colrows[j]
-            cs.discard(i)
-            cs.discard(k)
-        if rk is not None:
-            self.rows[i] = rk
-            for j in rk:
-                self.colrows[j].add(i)
-        if ri is not None:
-            self.rows[k] = ri
-            for j in ri:
-                self.colrows[j].add(k)
-
-    def _m_col_axpy(self, j, l, c):
-        R = self.R
-        for i in list(self.colrows.get(l, ())):
-            v = self.rows[i][l]
-            w = R.add(self.rows[i].get(j, R.zero), R.mul(c, v))
-            self._entry_set(i, j, w)
-
-    def _m_col_2x2(self, j, l, s, t, u, v):
-        R = self.R
-        touched = set(self.colrows.get(j, ())) | set(self.colrows.get(l, ()))
-        for i in touched:
-            row = self.rows[i]
-            a = row.get(j, R.zero)
-            b = row.get(l, R.zero)
-            self._entry_set(i, j, R.add(R.mul(s, a), R.mul(t, b)))
-            self._entry_set(i, l, R.add(R.mul(u, a), R.mul(v, b)))
-
-    def _m_col_swap(self, j, l):
-        sj = self.colrows.pop(j, set())
-        sl = self.colrows.pop(l, set())
-        for i in sj | sl:
-            row = self.rows[i]
-            a = row.pop(j, None)
-            b = row.pop(l, None)
-            if b is not None:
-                row[j] = b
-            if a is not None:
-                row[l] = a
-        if sl:
-            self.colrows[j] = sl
-            heapq.heappush(self.heap, (len(sl), j))
-        if sj:
-            self.colrows[l] = sj
-            heapq.heappush(self.heap, (len(sj), l))
-
-    def _m_col_scale(self, j, c):
-        R = self.R
-        for i in self.colrows.get(j, ()):
-            self.rows[i][j] = R.mul(c, self.rows[i][j])
-
-    # --- operations mirrored into the transforms ---
-
-    def row_axpy(self, i, k, c):
-        self._m_row_axpy(i, k, c)
-        if self.track:
-            R = self.R
-            _axpy(R, self.U.setdefault(i, {}), self.U.get(k, {}), c)
-            _axpy(R, self.Uinv_cols.setdefault(k, {}), self.Uinv_cols.get(i, {}), R.neg(c))
-
-    def row_2x2(self, i, k, s, t, u, v):
-        self._m_row_2x2(i, k, s, t, u, v)
-        if self.track:
-            R = self.R
-            Ui = self.U.pop(i, {})
-            Uk = self.U.pop(k, {})
-            self.U[i] = _combine(R, Ui, Uk, s, t)
-            self.U[k] = _combine(R, Ui, Uk, u, v)
-            dinv = R.inv(R.sub(R.mul(s, v), R.mul(t, u)))
-            Ci = self.Uinv_cols.pop(i, {})
-            Ck = self.Uinv_cols.pop(k, {})
-            self.Uinv_cols[i] = _combine(R, Ci, Ck, R.mul(dinv, v), R.neg(R.mul(dinv, u)))
-            self.Uinv_cols[k] = _combine(R, Ci, Ck, R.neg(R.mul(dinv, t)), R.mul(dinv, s))
-
-    def row_swap(self, i, k):
-        self._m_row_swap(i, k)
-        if self.track:
-            self.U[i], self.U[k] = self.U.pop(k, {}), self.U.pop(i, {})
-            self.Uinv_cols[i], self.Uinv_cols[k] = (
-                self.Uinv_cols.pop(k, {}), self.Uinv_cols.pop(i, {}))
-
-    def col_axpy(self, j, l, c):
-        self._m_col_axpy(j, l, c)
-        if self.track:
-            R = self.R
-            _axpy(R, self.V_cols.setdefault(j, {}), self.V_cols.get(l, {}), c)
-            _axpy(R, self.Vinv.setdefault(l, {}), self.Vinv.get(j, {}), R.neg(c))
-
-    def col_2x2(self, j, l, s, t, u, v):
-        self._m_col_2x2(j, l, s, t, u, v)
-        if self.track:
-            R = self.R
-            Vj = self.V_cols.pop(j, {})
-            Vl = self.V_cols.pop(l, {})
-            self.V_cols[j] = _combine(R, Vj, Vl, s, t)
-            self.V_cols[l] = _combine(R, Vj, Vl, u, v)
-            dinv = R.inv(R.sub(R.mul(s, v), R.mul(t, u)))
-            Wj = self.Vinv.pop(j, {})
-            Wl = self.Vinv.pop(l, {})
-            self.Vinv[j] = _combine(R, Wj, Wl, R.mul(dinv, v), R.neg(R.mul(dinv, u)))
-            self.Vinv[l] = _combine(R, Wj, Wl, R.neg(R.mul(dinv, t)), R.mul(dinv, s))
-
-    def col_swap(self, j, l):
-        self._m_col_swap(j, l)
-        if self.track:
-            self.V_cols[j], self.V_cols[l] = (
-                self.V_cols.pop(l, {}), self.V_cols.pop(j, {}))
-            self.Vinv[j], self.Vinv[l] = self.Vinv.pop(l, {}), self.Vinv.pop(j, {})
-
-    def col_scale(self, j, c):
-        self._m_col_scale(j, c)
-        if self.track:
-            R = self.R
-            self.V_cols[j] = {i: R.mul(c, v) for i, v in self.V_cols.get(j, {}).items()}
-            cinv = R.inv(c)
-            self.Vinv[j] = {i: R.mul(cinv, v) for i, v in self.Vinv.get(j, {}).items()}
-
-    # --- main loop ---
-
-    def _next_column(self, p, visited):
-        """Pop the live (count, column) pair that comes next in sorted order
-        among the columns >= p not yet visited, and record it in visited
-        (column -> count); None when none is left."""
-        heap, colrows = self.heap, self.colrows
-        while heap:
-            ln, j = heapq.heappop(heap)
-            if j >= p and j not in visited and len(colrows.get(j, ())) == ln:
-                visited[j] = ln
-                return ln, j
-        return None
-
-    def _find_pivot(self, p):
-        # columns are visited in (count, column) order off the heap, as a
-        # full sort would give them; the visited pairs go back on it
-        R = self.R
-        visited = {}
-        try:
-            best = None
-            found_unit = False
-            while len(visited) < 40 and not (found_unit and len(visited) >= 4):
-                nxt = self._next_column(p, visited)
-                if nxt is None:
-                    break
-                ln, j = nxt
-                for i in sorted(self.colrows[j]):
-                    sz = R.size(self.rows[i][j])
-                    cost = (ln - 1) * (len(self.rows[i]) - 1)
-                    key = (sz, cost, i, j)
-                    if best is None or key < best:
-                        best = key
-                        if sz == 1 and cost == 0:
-                            return i, j
-                    if sz == 1:
-                        found_unit = True
-            if best is None:
-                return None
-            if best[0] > 1:
-                # no unit seen in the sparse columns; look everywhere for a
-                # smaller pivot before committing to a non-unit
-                while (nxt := self._next_column(p, visited)) is not None:
-                    ln, j = nxt
-                    for i in sorted(self.colrows[j]):
-                        sz = R.size(self.rows[i][j])
-                        if sz < best[0]:
-                            best = (sz, (ln - 1) * (len(self.rows[i]) - 1), i, j)
-            return best[2], best[3]
-        finally:
-            for j, ln in visited.items():
-                heapq.heappush(self.heap, (ln, j))
+            step(p, k, *R.bezout(a, b)[1:])
 
     def _clear(self, p):
-        R = self.R
+        """Clear row and column p but for the pivot at (p, p)."""
+        rows = self.rows
         while True:
-            colset = self.colrows.get(p, set())
-            if len(colset) > 1 or (colset and p not in colset):
-                for i in sorted(colset - {p}):
-                    if i not in self.colrows.get(p, ()):
-                        continue
-                    a = self.rows[p][p]
-                    b = self.rows[i][p]
-                    if R.divides(a, b):
-                        self.row_axpy(i, p, R.neg(R.div(b, a)))
-                    else:
-                        g, s, t, u, v = R.bezout(a, b)
-                        self.row_2x2(p, i, s, t, u, v)
-            rowd = self.rows.get(p, {})
-            extras = sorted(j for j in rowd if j != p)
-            for j in extras:
-                if j not in self.rows.get(p, {}):
-                    continue
-                a = self.rows[p][p]
-                b = self.rows[p][j]
-                if R.divides(a, b):
-                    self.col_axpy(j, p, R.neg(R.div(b, a)))
-                else:
-                    g, s, t, u, v = R.bezout(a, b)
-                    self.col_2x2(p, j, s, t, u, v)
-            colset = self.colrows.get(p, set())
-            if colset <= {p} and all(j == p for j in self.rows.get(p, {})):
-                break
+            for i in sorted(i for i, r in rows.items() if i != p and p in r):
+                self._reduce(self.row_step, p, i, rows[p][p], rows[i][p])
+            right = sorted(j for j in rows[p] if j != p)
+            if not right:
+                return
+            for j in right:
+                self._reduce(self.col_step, p, j, rows[p][p], rows[p][j])
 
     def _fix_divisibility(self):
-        R = self.R
-        one = R.el(1)
+        R, diag = self.R, self.diag
+        one, zero = R.one, R.zero
         changed = True
         while changed:
             changed = False
-            for a_idx in range(self.rank):
-                da = self.rows.get(a_idx, {}).get(a_idx, R.zero)
+            for a in range(len(diag)):
                 # a unit divides every later entry: nothing to fix
-                if R.is_zero(da) or R.is_unit(da):
+                if R.is_zero(diag[a]) or R.is_unit(diag[a]):
                     continue
-                for b_idx in range(a_idx + 1, self.rank):
-                    db = self.rows.get(b_idx, {}).get(b_idx, R.zero)
+                for b in range(a + 1, len(diag)):
+                    da, db = diag[a], diag[b]
                     if R.is_zero(db) or R.divides(da, db):
                         continue
-                    self.col_axpy(a_idx, b_idx, one)
+                    # (da, db) becomes (g, v db), g = s da + t db their gcd
                     g, s, t, u, v = R.bezout(da, db)
-                    self.row_2x2(a_idx, b_idx, s, t, u, v)
-                    rem = self.rows.get(a_idx, {}).get(b_idx, R.zero)
+                    self.col_step(a, b, one, one, zero, one)
+                    self.row_step(a, b, s, t, u, v)
+                    rem = R.mul(t, db)
                     if not R.is_zero(rem):
-                        self.col_axpy(b_idx, a_idx, R.neg(R.div(rem, g)))
-                    da = self.rows.get(a_idx, {}).get(a_idx, R.zero)
+                        self.col_step(b, a, one, R.neg(R.div(rem, g)), zero, one)
+                    diag[a], diag[b] = g, R.mul(v, db)
                     changed = True
-                    if R.is_zero(da):
-                        break
-
-    def _compact_zeros(self):
-        # over Z/m a divisibility fix can turn a diagonal entry into zero;
-        # move surviving entries up so the nonzero block is an initial segment
-        write = 0
-        for q in range(self.rank):
-            if self.rows.get(q, {}).get(q) is None:
-                continue
-            if q != write:
-                self.row_swap(write, q)
-                self.col_swap(write, q)
-            write += 1
-        self.rank = write
-
-    def _normalize_units(self):
-        R = self.R
-        for q in range(self.rank):
-            d = self.rows[q][q]
-            u = R.canonical_unit(d)
-            if not R.is_zero(R.sub(u, R.el(1))):
-                self.col_scale(q, u)
 
     def run(self):
-        p = 0
-        limit = min(self.nrows, self.ncols)
-        while p < limit:
-            piv = self._find_pivot(p)
-            if piv is None:
-                break
-            i, j = piv
+        """Clear one pivot at a time, moving it from the rows to the
+        diagonal; then fix the diagonal's divisibility, zeros and units,
+        by steps that change only the transforms, as no rows are left."""
+        R = self.R
+        diag = self.diag = []
+        while self.rows:
+            p = len(diag)
+            i, j = self._pivot()
             if i != p:
-                self.row_swap(p, i)
+                self.row_step(p, i, *self.swap)
             if j != p:
-                self.col_swap(p, j)
+                self.col_step(p, j, *self.swap)
             self._clear(p)
-            p += 1
-        self.rank = p
+            diag.append(self.rows.pop(p)[p])
         self._fix_divisibility()
-        self._compact_zeros()
-        self._normalize_units()
+        # over Z/m the fix can turn a diagonal entry into zero; move the
+        # others up so the nonzero block is an initial segment
+        write = 0
+        for q in range(len(diag)):
+            if not R.is_zero(diag[q]):
+                if q != write:
+                    self.row_step(write, q, *self.swap)
+                    self.col_step(write, q, *self.swap)
+                    diag[write], diag[q] = diag[q], diag[write]
+                write += 1
+        del diag[write:]
+        for q, d in enumerate(diag):
+            c = R.canonical_unit(d)
+            if c != R.one:
+                diag[q] = R.mul(c, d)
+                if self.track:
+                    ci = R.inv(c)
+                    self.V[q] = {i: R.mul(c, x) for i, x in self.V[q].items()}
+                    self.Vinv[q] = {k: R.mul(ci, x) for k, x in self.Vinv[q].items()}
 
     def result(self):
-        R = self.R
-        diag = [self.rows[q][q] for q in range(self.rank)]
+        R, n, m, diag = self.R, self.nrows, self.ncols, self.diag
         if not self.track:
-            return SNFResult(R, self.nrows, self.ncols, diag)
-        U = Matrix(R, self.nrows, self.nrows,
-                   {i: dict(r) for i, r in self.U.items() if r})
-        Uinv = Matrix.from_columns(
-            R, self.nrows, [self.Uinv_cols.get(i, {}) for i in range(self.nrows)])
-        V = Matrix.from_columns(
-            R, self.ncols, [self.V_cols.get(j, {}) for j in range(self.ncols)])
-        Vinv = Matrix(R, self.ncols, self.ncols,
-                      {j: dict(r) for j, r in self.Vinv.items() if r})
-        return SNFResult(R, self.nrows, self.ncols, diag, U, Uinv, V, Vinv)
+            return SNFResult(R, n, m, diag)
+        U = Matrix(R, n, n, self.U)
+        Uinv = Matrix.from_columns(R, n, [self.Uinv.get(i, {}) for i in range(n)])
+        V = Matrix.from_columns(R, m, [self.V.get(j, {}) for j in range(m)])
+        Vinv = Matrix(R, m, m, self.Vinv)
+        return SNFResult(R, n, m, diag, U, Uinv, V, Vinv)
 
 
 def smith_normal_form(M, transforms=True):
@@ -499,8 +287,16 @@ def smith_normal_form(M, transforms=True):
 
 
 def invariant_factors(M):
-    """Nonzero diagonal of the Smith form, without transform tracking."""
-    return smith_normal_form(M, transforms=False).diag
+    """Nonzero diagonal of the Smith form of M, in divisibility order.
+
+    unit_pivots on M's rows is an equivalence of M with diag(I, A), A
+    the rows it sets aside, so the factors are a 1 for each pivot, then
+    those of A's Smith form, taken with no transforms.
+    """
+    R = M.ring
+    pivots, aside = unit_pivots(R, (dict(M.rows[i]) for i in sorted(M.rows)))
+    A = Matrix(R, len(aside), M.ncols, {i: v for i, v in enumerate(aside) if v})
+    return [R.one] * len(pivots) + smith_normal_form(A, transforms=False).diag
 
 
 def solve_matrix(res, B):

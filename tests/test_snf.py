@@ -7,7 +7,6 @@ from ihomology.rings import ZZ, QQ, Zmod
 from ihomology import snf
 from ihomology.rings import ZmodRing
 from ihomology.snf import (
-    _Eliminator,
     _axpy,
     _combine,
     smith_normal_form,
@@ -24,7 +23,7 @@ from ihomology.snf import (
 def check_transforms(M, res):
     R = M.ring
     D = (res.U @ M) @ res.V
-    assert D == res.D_matrix()
+    assert D == Matrix(R, M.nrows, M.ncols, {p: {p: d} for p, d in enumerate(res.diag)})
     assert res.U @ res.Uinv == Matrix.identity(R, M.nrows)
     assert res.V @ res.Vinv == Matrix.identity(R, M.ncols)
     for a, b in zip(res.diag, res.diag[1:]):
@@ -61,19 +60,47 @@ def test_smith_rectangular():
     assert invariant_factors(M) == [1, 6]
 
 
+def sympy_factors(sympy, data):
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    D = sympy_snf(sympy.Matrix(data))
+    # in divisibility order, which is ascending
+    return sorted(abs(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0)
+
+
 def test_smith_against_sympy():
     sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
     rng = random.Random(11)
     for _ in range(40):
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
         data = [[rng.randrange(-6, 7) for _ in range(nc)] for _ in range(nr)]
         ours = invariant_factors(Matrix.from_rows(ZZ, data))
-        theirs = sympy_snf(sympy.Matrix(data))
-        want = [abs(theirs[i, i]) for i in range(min(nr, nc)) if theirs[i, i] != 0]
-        assert ours == want, (data, ours, want)
+        assert ours == sympy_factors(sympy, data), data
+
+
+def test_swept_smith_against_sympy(monkeypatch):
+    # 5 x 5 to 8 x 8 over Z with units and non-units, so that the sweep
+    # in invariant_factors both takes pivots and sets rows aside, and the
+    # eliminator gets a residual with non-unit entries
+    sympy = pytest.importorskip("sympy")
+    swept = []
+    real = snf.unit_pivots
+
+    def recording(R, vectors):
+        pivots, aside = real(R, vectors)
+        swept.append((len(pivots), sum(1 for v in aside if v)))
+        return pivots, aside
+    monkeypatch.setattr(snf, "unit_pivots", recording)
+    rng = random.Random(71)
+    for _ in range(30):
+        nr, nc = rng.randrange(5, 9), rng.randrange(5, 9)
+        data = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, 6)) for _ in range(nc)]
+                for _ in range(nr)]
+        M = Matrix.from_rows(ZZ, data)
+        want = sympy_factors(sympy, data)
+        assert invariant_factors(M) == want, data
+        assert smith_normal_form(M).diag == want, data
+    assert sum(1 for p, a in swept if p and a) >= 10
 
 
 def test_smith_transforms_random():
@@ -608,52 +635,12 @@ def test_hermite_solve_vector_over_composite_moduli():
                     assert B @ x == c
 
 
-class FullSortEliminator(_Eliminator):
-    """The eliminator with its pivot search by a full sort of the live
-    columns on every pivot: the reference for the heap-ordered search."""
-
-    def _find_pivot(self, p):
-        R = self.R
-        cols = sorted((len(s), j) for j, s in self.colrows.items() if j >= p)
-        if not cols:
-            return None
-        best = None
-        examined = 0
-        found_unit = False
-        for ln, j in cols:
-            for i in sorted(self.colrows[j]):
-                sz = R.size(self.rows[i][j])
-                cost = (ln - 1) * (len(self.rows[i]) - 1)
-                key = (sz, cost, i, j)
-                if best is None or key < best:
-                    best = key
-                    if sz == 1 and cost == 0:
-                        return i, j
-                if sz == 1:
-                    found_unit = True
-            examined += 1
-            if found_unit and examined >= 4:
-                break
-            if examined >= 40:
-                break
-        if best[0] > 1 and examined < len(cols):
-            for ln, j in cols[examined:]:
-                for i in sorted(self.colrows[j]):
-                    sz = R.size(self.rows[i][j])
-                    if sz < best[0]:
-                        cost = (ln - 1) * (len(self.rows[i]) - 1)
-                        key = (sz, cost, i, j)
-                        if key < best:
-                            best = key
-        return best[2], best[3]
-
-
 @pytest.mark.parametrize("R", [ZZ, QQ, Zmod(4), Zmod(6)], ids=["Z", "Q", "Z4", "Z6"])
-def test_smith_pivot_order_matches_full_sort(R, rp3):
-    # the heap gives the columns in the full sort's (count, column) order,
-    # so every pivot, and with it every transform, is the same; the
-    # relabelled boundary matrices of rp3 have hundreds of columns, so the
-    # search stops at its column cap
+def test_smith_form_is_canonical_and_matches_the_sweep(R, rp3):
+    # transforms that diagonalize, a canonical diagonal in divisibility
+    # order, and invariant_factors (the unit-pivot sweep, then the Smith
+    # form of its residual) equal to the eliminator alone; the relabelled
+    # boundary matrices of rp3 have hundreds of columns
     rng = random.Random(53)
     cases = [random_matrix(rng, R, i) if i % 2 else mixed_entry_matrix(rng, R)
              for i in range(300)]
@@ -663,20 +650,17 @@ def test_smith_pivot_order_matches_full_sort(R, rp3):
         rng.shuffle(rows)
         rng.shuffle(cols)
         cases.append(B.submatrix(rows, cols))
-    # the 40 sparsest columns hold only the non-unit 2 (over Z, Z/4 and
-    # Z/6), so the search goes on through the rest for a unit
+    # the sparsest columns hold only the non-unit 2 (over Z, Z/4 and Z/6)
     rows = {i: {i: R.el(2)} for i in range(44)}
     rows.update({i: {44: R.one} for i in (44, 45, 46)})
     rows.update({i: {45: R.el(-1)} for i in (47, 48)})
     cases.append(Matrix(R, 49, 46, rows))
     for M in cases:
-        ref = FullSortEliminator(M, True)
-        ref.run()
-        want = ref.result()
-        got = smith_normal_form(M, transforms=True)
-        assert got.diag == want.diag, M.to_lists()
-        for name in ("U", "Uinv", "V", "Vinv"):
-            assert getattr(got, name) == getattr(want, name), (name, M.to_lists())
+        res = smith_normal_form(M, transforms=True)
+        check_transforms(M, res)
+        assert all(R.canonical_unit(d) == R.one for d in res.diag), M.to_lists()
+        assert invariant_factors(M) == smith_normal_form(M, transforms=False).diag == res.diag, \
+            M.to_lists()
 
 
 def first_arrived_hermite_column_form(M):
