@@ -278,6 +278,11 @@ class BlowupComplex:
         self.index = {b: (k, i) for k, tl in self.tuples.items()
                       for i, b in enumerate(tl)}
         self.top = max(self.tuples) if self.tuples else 0
+        # per top simplex, the global index of each tuple it puts, by
+        # degree: shared by the two glues, dropped after the second
+        self._at = [{k: [self.index[b][1] for b in tl]
+                     for k, tl in template(space, s).put(s).items()}
+                    for s in self.tops]
         self._D = {(k, ZZ.name): M for k, M in self._glue(
             lambda s, T, at: ((k, T.differential(k), at[k + 1], at[k])
                               for k in range(T.top)),
@@ -293,11 +298,8 @@ class BlowupComplex:
         index at[k][i] of T.tuples[k][i] put on s.  Entries that two
         simplices share must agree: the check that the pieces glue."""
         stores = {}
-        for s in self.tops:
-            T = template(self.space, s)
-            at = {k: [self.index[b][1] for b in tl]
-                  for k, tl in T.put(s).items()}
-            for k, M, rows, cols in local(s, T, at):
+        for s, at in zip(self.tops, self._at):
+            for k, M, rows, cols in local(s, template(self.space, s), at):
                 store = stores.setdefault(k, {})
                 for i, row in M.rows.items():
                     out = store.setdefault(rows[i], {})
@@ -336,6 +338,7 @@ class BlowupComplex:
                 self._embedding_pieces,
                 lambda k: (self.dim(k), len(self.space.simplices(k))),
                 "inconsistent embedding coefficients")
+            self._at = None
         return (self._embedding.get(k)
                 or Matrix(ZZ, self.dim(k), len(self.space.simplices(k))))
 

@@ -383,6 +383,16 @@ class Report:
         return "\n".join(self.lines)
 
 
+def _build_ascending(space, ring):
+    """Build the space's cohomology and homology groups in ascending
+    stored degree, so that each cycle basis is decided on the pivot rows
+    of the group below (complexes.cycle_matrix), before any is read."""
+    C = cochain_complex(space, ring)
+    for k in range(space.n + 1):
+        C.homology(k - space.n).build()
+        space.homology(k, ring).build()
+
+
 def verify_factorization(space, ring, perversities=None):
     """Factorization of classical duality through the blown-up duality.
 
@@ -404,11 +414,7 @@ def verify_factorization(space, ring, perversities=None):
     blown = _blown_caps(space, ring)
     B = blowup_complex(space)
     emb = {k: B.embedding_matrix(k).map_ring(ring) for k in range(n + 1)}
-    # each group in ascending stored degree first, so that its cycles are
-    # decided on the pivot rows of the group below (complexes.cycle_matrix)
-    for k in range(n + 1):
-        C.homology(k - n)
-        space.homology(k, ring)
+    _build_ascending(space, ring)
     lines = []
     ok = True
     caps = {}
@@ -470,10 +476,9 @@ def check_zero_top(space, ring):
     _check_space(space, normal=True)
     n = space.n
     classical_duality(space, ring)
-    # cochains of degree k and chains of degree n - k, each in ascending
-    # stored degree (complexes.cycle_matrix)
+    _build_ascending(space, ring)
     cap_iso = [classical_duality_induced(space, ring, k).is_isomorphism()
-               for k in range(n, -1, -1)][::-1]
+               for k in range(n + 1)]
     beta_iso = [comparison_map(space, zero(n), top(n), ring,
                                j).is_isomorphism()
                 for j in range(n + 1)]

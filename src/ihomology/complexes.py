@@ -1,18 +1,28 @@
 """Chain complexes of free modules and their homology, with generators.
 
-Homology is computed as a subquotient of the ambient chain module: a
-basis of cycles in the canonical echelon form of snf.kernel (the
-Hermite form over Z, the reduced column echelon form over a field, the
-Howell form over a composite Z/m), the boundary columns solved in that
-basis by snf.hermite_solve, the unit-pivot sweep of those coordinates
+A homology group is built on first use of its generators or
+coordinates.  Until then, over Z and over fields, its orders are the
+non-unit invariant factors of the boundaries B, then |cols| - rank
+D[:, cols] - rank B zeros, for the cycles of D on the columns cols
+(orders_by_rule; Dumas, Heckenbach, Saunders & Welker 2003).  Each
+boundary matrix is swept once and its factors kept, for the rank out of
+one degree and the torsion of the next.  Over a composite Z/m these do
+not determine the group (over Z/4, D = (2 0) gives Z/4 with B = (2 0)^T
+and Z/2 + Z/2 with B = (0 2)^T), so it is built.
+
+A built group is a subquotient of the ambient chain module: a basis of
+cycles in the canonical echelon form of snf.kernel (the Hermite form
+over Z, the reduced column echelon form over a field, the Howell form
+over a composite Z/m), the boundary columns solved in that basis by
+snf.hermite_solve, the unit-pivot sweep of those coordinates
 (snf.unit_pivots, mirrored), and the Smith form of only what the sweep
 sets aside.  The unit invariant factors drop out with the pivots, so
 the orders are those of the Smith form of all the coordinates.  This
-gives ranks, torsion, explicit generating cycles, and well-defined
-coordinates of arbitrary cycles in the generators, which is what the
-product and duality checks need; a cycle's coordinates come from the
-same solve, which also rejects boundaries and chains that are not
-cycles, over every ring.
+gives explicit generating cycles and well-defined coordinates of
+arbitrary cycles in the generators, which is what the product and
+duality checks need; a cycle's coordinates come from the same solve,
+which also rejects boundaries and chains that are not cycles, over
+every ring.
 
 A cycle basis is eliminated only on the rows that can be independent
 (cycle_matrix).  Once the group one degree down is built with the
@@ -23,19 +33,20 @@ vanish above a row are spanned by the columns pivoting at or below it
 (over a composite Z/m by the Howell property), and those pivoting
 below it vanish on it.  So D x = 0 exactly when D x vanishes on the
 pivot rows, over every ring, and kernel() returns the same canonical
-basis from them.  Groups asked for in ascending degree get this for
-free; no degree is built only to prune another.
+basis from them.  Groups built in ascending degree get this for free;
+no degree is built only to prune another.
 
 Over a composite Z/m the cycle module need not be free, so the
 relations among the cycle generators (the kernel of the cycle basis)
 join the boundary coordinates before the sweep; the invariant factors
 all divide m, and a free summand Z/m gets order m.
 
-A HomologyGroup is never changed after it is built, so one object may
+A HomologyGroup is never changed once built, so one object may
 serve several complexes: the perverse (co)homology groups and the
 simplicial homology of a space are shared through the memo that
 intersection.py keys by the allowable sets.  A PresentedComplex keeps
-its own groups, per degree; the cochain and dual complexes use it.
+its own groups and boundary factors, per degree; the cochain and dual
+complexes use it.
 """
 
 from .matrices import Matrix
@@ -58,16 +69,27 @@ class HomologyGroup:
     for a generator of order d (over Z/m the value m marks a free Z/m
     summand).  reps holds matching ambient representatives.  cycles is
     the cycle basis the group was computed from, when it has columns.
+
+    A group made by lazy() is built the first time its reps, coords or
+    cycles are read, or by build(); its orders come from its rule until
+    then, if it has one.
     """
 
     def __init__(self, ring, ambient_dim, orders, reps, coord_fn,
                  cycles=None):
         self.ring = ring
         self.ambient_dim = ambient_dim
-        self.orders = orders
-        self.reps = reps
-        self._coord_fn = coord_fn
-        self.cycles = cycles
+        self._orders = orders
+        self._parts = reps, coord_fn, cycles
+        self._build = self._rule = None
+
+    @classmethod
+    def lazy(cls, ring, ambient_dim, build, rule=None):
+        """The group that build() returns, built on first use; rule()
+        gives its orders until then, or None when only the build can."""
+        H = cls(ring, ambient_dim, None, None, None)
+        H._parts, H._build, H._rule = None, build, rule
+        return H
 
     @classmethod
     def trivial(cls, ring, ambient_dim=0):
@@ -76,6 +98,32 @@ class HomologyGroup:
                 raise ValueError("not a cycle")
             return ()
         return cls(ring, ambient_dim, [], [], coord_fn)
+
+    @property
+    def built(self):
+        return self._parts is not None
+
+    def build(self):
+        """Build the generators and coordinates, if not yet; returns self."""
+        if self._parts is None:
+            G = self._build()
+            self._orders, self._parts = G._orders, G._parts
+            self._build = self._rule = None
+        return self
+
+    @property
+    def orders(self):
+        if self._orders is None:
+            self._orders = self._rule() if self._rule else self.build()._orders
+        return self._orders
+
+    @property
+    def reps(self):
+        return self.build()._parts[0]
+
+    @property
+    def cycles(self):
+        return self.build()._parts[2]
 
     @property
     def free_rank(self):
@@ -102,7 +150,7 @@ class HomologyGroup:
         cycles are homologous iff their coords are equal.  Raises if v is
         not a cycle.
         """
-        return self._coord_fn(v)
+        return self.build()._parts[1](v)
 
     def __str__(self):
         R = self.ring
@@ -197,45 +245,69 @@ def cycle_matrix(D, below=None):
     When below is the group one degree down, built with the columns of
     D as its boundaries, this is D on the pivot rows of below's cycle
     basis, with the other rows zero (see the module docstring); it
-    shares D's rows, which kernel() copies as it reads them.  Otherwise
-    it is D.
+    shares D's rows, which kernel() copies as it reads them.  Otherwise,
+    and while below is not built, it is D: pruning builds nothing.
     """
-    if below is None or below.cycles is None:
+    if below is None or not below.built or below.cycles is None:
         return D
     return Matrix(D.ring, D.nrows, D.ncols,
                   {i: D.rows[i] for i in pivot_rows(below.cycles).values()
                    if i in D.rows})
 
 
-def homology_of(bd_out, bd_in, below=None):
-    """Homology ker(bd_out)/im(bd_in) with generators.
+def factors_of(M):
+    """Invariant factors of M, swept on its columns (the rows of its
+    transpose), which fill in less on boundary matrices."""
+    return invariant_factors(M.transpose()) if M.rows else []
+
+
+def orders_by_rule(D, cols, B, factors_out, factors_in):
+    """Orders of the cycles of D on the columns cols modulo the columns
+    of B, over Z or a field, from the factors of D[:, cols]
+    (factors_out()) and of B (factors_in(B)).  Those cycles are a direct
+    summand of the chains (a chain with a nonzero multiple among them is
+    among them), so B has the same invariant factors in them as in the
+    chains.  B must lie on cols with D @ B == 0, else this raises
+    ValueError as group_from_cycles does.
+    """
+    if not set(cols).issuperset(B.rows) or not (D @ B).is_zero():
+        raise ValueError("boundary columns do not lie in the cycle span")
+    f = factors_in(B)
+    return ([d for d in f if not D.ring.is_unit(d)]
+            + [0] * (len(cols) - len(factors_out()) - len(f)))
+
+
+def lazy_group(D, cols, boundaries, cycles, factors_out, factors_in):
+    """The group of the cycles of D on the columns cols modulo the
+    columns of boundaries(), built from the cycle basis cycles() on
+    first use, with orders_by_rule over Z and over fields."""
+    ring = D.ring
+    rule = None
+    if not isinstance(ring, ZmodRing) or ring.is_field:
+        def rule():
+            return orders_by_rule(D, cols, boundaries(), factors_out,
+                                  factors_in)
+    return HomologyGroup.lazy(ring, D.ncols, lambda: group_from_cycles(
+        ring, D.ncols, cycles(), boundaries()), rule)
+
+
+def homology_of(bd_out, bd_in):
+    """Homology ker(bd_out)/im(bd_in), built on first use.
 
     bd_out maps the module in question outward, bd_in maps into it; both
     must share a ring, and bd_out.ncols == bd_in.nrows is the ambient
-    dimension.  below is the group one degree down, if it was computed
-    with bd_out as its boundaries (see cycle_matrix).
+    dimension.
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    return group_from_cycles(bd_out.ring, bd_out.ncols,
-                             kernel(cycle_matrix(bd_out, below)), bd_in)
+    return lazy_group(bd_out, range(bd_out.ncols), lambda: bd_in,
+                      lambda: kernel(bd_out), lambda: factors_of(bd_out),
+                      factors_of)
 
 
 def homology_type_of(bd_out, bd_in):
-    """(free rank, sorted torsion) without generators; cheaper than homology_of."""
-    ring = bd_out.ring
-    if isinstance(ring, IntegerRing):
-        r_out = len(invariant_factors(bd_out))
-        inv_in = invariant_factors(bd_in)
-        rank = bd_out.ncols - r_out - len(inv_in)
-        torsion = sorted(d for d in inv_in if d != 1)
-        return (rank, tuple(torsion))
-    if ring.is_field:
-        r_out = len(invariant_factors(bd_out))
-        r_in = len(invariant_factors(bd_in))
-        return (bd_out.ncols - r_out - r_in, ())
-    g = homology_of(bd_out, bd_in)
-    return g.iso_type()
+    """(free rank, sorted torsion), by orders_by_rule over Z and fields."""
+    return homology_of(bd_out, bd_in).iso_type()
 
 
 class PresentedComplex:
@@ -259,6 +331,7 @@ class PresentedComplex:
             if not M.is_zero():
                 self.boundaries[k] = M
         self._homology = {}
+        self._factors = {}
         if check:
             for k in list(self.boundaries):
                 if (k - 1) in self.boundaries:
@@ -277,14 +350,23 @@ class PresentedComplex:
             return Matrix(self.ring, self.dim(k - 1), self.dim(k))
         return M
 
+    def factors(self, k):
+        """Invariant factors of the boundary at degree k, kept: they give
+        the rank out of degree k and the torsion of degree k - 1."""
+        if k not in self._factors:
+            self._factors[k] = factors_of(self.boundary(k))
+        return self._factors[k]
+
     def homology(self, k):
         if k not in self._homology:
             if self.dim(k) == 0:
                 self._homology[k] = HomologyGroup.trivial(self.ring)
             else:
-                self._homology[k] = homology_of(
-                    self.boundary(k), self.boundary(k + 1),
-                    self._homology.get(k - 1))
+                D = self.boundary(k)
+                self._homology[k] = lazy_group(
+                    D, range(D.ncols), lambda: self.boundary(k + 1),
+                    lambda: kernel(cycle_matrix(D, self._homology.get(k - 1))),
+                    lambda: self.factors(k), lambda B: self.factors(k + 1))
         return self._homology[k]
 
     def shifted(self, n):
@@ -329,6 +411,10 @@ class InducedMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        # target too when source has no generators: a group that a map
+        # touches is built, so its orders are never read by the rule first
+        source.build()
+        target.build()
         self.image_coords = [target.coords(matrix @ rep) for rep in source.reps]
 
     def image(self, coords):

@@ -31,20 +31,28 @@ allows every simplex, so it is the very intersection homology group of
 each perversity that allows every simplex of degrees k and k + 1.  The
 set allowing all n elements is one tuple per memo, ("everything", n).
 
+A group is built on first use (complexes.lazy_group); until then, over
+Z and over fields, its orders come from invariant factors: under
+("factors", k, cols, good) those of the differential out of degree k
+on the basis ("basis", k, cols, good), which is D[:, cols] when good
+holds every row.  So one plain boundary matrix, swept once, gives the
+rank out of one degree of simplicial homology and the torsion of the
+next.
+
 The group that allows everything in degrees k + step and k has the
 whole differential D out of degree k as its boundaries, which its
 solve has proved in the span of its echelon cycle basis Z.  Over every
 ring a nonzero vector of that span is nonzero on a pivot row of Z, so
-D x = 0 exactly when D x vanishes there: once that group is in the
-memo, every cycle basis of degree k, on any allowable columns, is the
-kernel of D on those rows alone, the same module and so the same basis
+D x = 0 exactly when D x vanishes there: once that group is built,
+every cycle basis of degree k, on any allowable columns, is the kernel
+of D on those rows alone, the same module and so the same basis
 (complexes.cycle_matrix).
 """
 
 from functools import cached_property
 
 from .complexes import (HomologyGroup, InducedMap, PresentedComplex,
-                        cycle_matrix, group_from_cycles)
+                        cycle_matrix, factors_of, lazy_group)
 from .matrices import Matrix
 from .rings import ZmodRing
 from .snf import hermite_solve, kernel
@@ -138,20 +146,43 @@ def shared_basis(memo, key, D):
     return B
 
 
+def shared_factors(memo, key, M):
+    """The invariant factors under key = ("factors", k, cols, good) in
+    memo, those of the matrix M() (see the module docstring)."""
+    f = memo.get(key)
+    if f is None:
+        f = memo[key] = factors_of(M())
+    return f
+
+
 def shared_group(memo, k, allowable, step, D, boundaries):
     """The degree-k group in memo, of a complex with differential D out
     of degree k and degree k - step mapping in: the cycles on
-    allowable(k) modulo the columns boundaries() returns.  The cycles
-    are the kernel of cycle_matrix(D, below), where below is the group
-    of degree k + step that allows everything, if that is in memo."""
+    allowable(k) modulo the columns boundaries() returns, built on
+    first use (complexes.lazy_group).  The cycles are the kernel of
+    cycle_matrix(D, below), where below is the group of degree k + step
+    that allows everything, if that is in memo and built."""
     key = memo_key("group", k, allowable, k - step)
     H = memo.get(key)
     if H is None:
-        below = memo.get(("group", k + step, everything(memo, D.nrows),
-                          everything(memo, D.ncols) or None))
-        Z = shared_basis(memo, ("basis", k, key[2], None),
-                         cycle_matrix(D, below))
-        H = memo[key] = group_from_cycles(D.ring, D.ncols, Z, boundaries())
+        cols, rows = key[2], everything(memo, D.nrows)
+
+        def cycles():
+            below = memo.get(("group", k + step, rows,
+                              everything(memo, D.ncols) or None))
+            return shared_basis(memo, ("basis", k, cols, None),
+                                cycle_matrix(D, below))
+
+        def factors_out():
+            return shared_factors(
+                memo, ("factors", k, cols, rows or None),
+                lambda: D if len(cols) == D.ncols
+                else D.submatrix(rows, cols))
+        H = memo[key] = lazy_group(
+            D, cols, boundaries, cycles, factors_out,
+            lambda B: shared_factors(
+                memo, ("factors", k - step, key[3] or (), cols or None),
+                lambda: B))
     return H
 
 
@@ -270,8 +301,9 @@ def inclusion_map(src, dst, k):
     subcomplex in another, the identity in full coordinates."""
     if not dst.contains(k, src.bases[k]):
         raise AssertionError("perverse subcomplexes are not nested")
-    return InducedMap(src.homology(k), dst.homology(k),
-                      Matrix.identity(src.ring, src.dim(k)))
+    # built before the identity is made, so it is not alive during the builds
+    source, target = src.homology(k).build(), dst.homology(k).build()
+    return InducedMap(source, target, Matrix.identity(src.ring, src.dim(k)))
 
 
 def comparison_map(K, p, q, ring, k):

@@ -356,6 +356,20 @@ def test_one_local_blowup_per_join_shape(built, wedge_text):
     assert len(built) == 8
 
 
+def test_each_top_simplex_is_put_twice(monkeypatch):
+    # once for the set of tuples, once for the global index lists that
+    # the coboundary and the embedding glues share
+    X = suspension(projective_space(4))
+    puts = []
+    real = LocalBlowup.put
+    monkeypatch.setattr(LocalBlowup, "put",
+                        lambda self, s: puts.append(s) or real(self, s))
+    B = blowup_complex(X)
+    for k in range(X.n + 1):
+        B.embedding_matrix(k)
+    assert len(puts) == 2 * len(B.tops) == 768
+
+
 def flip_one(monkeypatch, space, kind):
     """Makes template() give the top simplex (p, a, b) of the wedge a copy
     of its template with one sign flipped, at an entry it shares with

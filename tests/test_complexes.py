@@ -57,9 +57,11 @@ def test_projective_plane_cw():
     C = PresentedComplex(ZZ, {0: 1, 1: 1, 2: 1},
                          {1: Matrix.zeros(ZZ, 1, 1),
                           2: Matrix.from_rows(ZZ, [[2]])})
-    assert str(C.homology(0)) == "Z"
-    assert str(C.homology(1)) == "Z/2"
-    assert str(C.homology(2)) == "0"
+    # built, so that the rule of homology_type_of is checked against the
+    # groups' own orders
+    assert str(C.homology(0).build()) == "Z"
+    assert str(C.homology(1).build()) == "Z/2"
+    assert str(C.homology(2).build()) == "0"
     C2 = PresentedComplex(Zmod(2), C.dims,
                           {k: M.map_ring(Zmod(2)) for k, M in C.boundaries.items()})
     assert [C2.homology(k).free_rank for k in (0, 1, 2)] == [1, 1, 1]
@@ -86,11 +88,14 @@ def test_boundary_squared_checked():
 
 @pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3), Zmod(4)], ids=str)
 def test_homology_of_rejects_boundaries_outside_the_cycles(R):
-    # bd_in hits a vector that bd_out does not kill
+    # bd_in hits a vector that bd_out does not kill: the orders (by the
+    # rule, except over Z/4) and the build both refuse it
     bd_out = Matrix.from_rows(R, [[1, 0]])
     bd_in = Matrix.from_rows(R, [[1], [1]])
     with pytest.raises(ValueError, match="do not lie in the cycle span"):
-        homology_of(bd_out, bd_in)
+        homology_of(bd_out, bd_in).orders
+    with pytest.raises(ValueError, match="do not lie in the cycle span"):
+        homology_of(bd_out, bd_in).build()
 
 
 @pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3), Zmod(4)], ids=str)
@@ -107,12 +112,12 @@ def test_failed_group_does_not_prune_the_next_degree(R, monkeypatch):
     C = PresentedComplex(R, {0: 1, 1: 1, 2: 1},
                          {1: Matrix.from_rows(R, [[1]]),
                           2: Matrix.from_rows(R, [[1]])}, check=False)
-    assert str(C.homology(0)) == "0"
+    assert str(C.homology(0).build()) == "0"
     with pytest.raises(ValueError,
                        match="boundary columns do not lie in the cycle span"):
-        C.homology(1)
+        C.homology(1).build()
     rows.clear()
-    assert str(C.homology(2)) == "0"
+    assert str(C.homology(2).build()) == "0"
     assert rows == [1]
 
 
@@ -288,7 +293,6 @@ def record_groups(monkeypatch):
             seen.append((Zb, B, H))
         return H
     monkeypatch.setattr(complexes, "group_from_cycles", recording)
-    monkeypatch.setattr(intersection, "group_from_cycles", recording)
     return seen
 
 
@@ -319,6 +323,84 @@ def test_groups_match_the_smith_form_of_all_of_y(space, coeffs, monkeypatch,
         check_against_smith_reference(rng, Zb, B, H)
 
 
+RULE_COMMANDS = [["homology"], ["table"],
+                 ["ih", "--perversity", "zero"], ["ih", "--perversity", "top"],
+                 ["tw", "--perversity", "zero"], ["tw", "--perversity", "top"],
+                 ["verify", "factorization"], ["verify", "zero-top"]]
+
+
+@pytest.mark.parametrize("space", ["s4", "rp3", "sigma-rp3", "cone:rp3"])
+@pytest.mark.parametrize("coeffs", ["Z", "Q", "Zmod:3", "Zmod:4", "Zmod:6"])
+def test_rule_orders_equal_the_built_orders(space, coeffs, monkeypatch,
+                                            capsys):
+    # every lazy group these commands touch on a fresh space gets an
+    # unbuilt twin with the same closures; over Z and fields the twin's
+    # orders come from the rule with nothing built, and must equal the
+    # orders of the group once built; over a composite Z/m there is no
+    # rule and reading the orders builds.  tw and verify refuse a
+    # composite modulus, and verify the cone, which has a boundary
+    twins = []
+    real = HomologyGroup.lazy.__func__
+
+    def lazy(cls, ring, ambient_dim, build, rule=None):
+        twins.append(real(cls, ring, ambient_dim, build, rule))
+        H = real(cls, ring, ambient_dim, build, rule)
+        twins[-1].group = H
+        return H
+    monkeypatch.setattr(HomologyGroup, "lazy", classmethod(lazy))
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    composite = coeffs in ("Zmod:4", "Zmod:6")
+    for cmd in RULE_COMMANDS:
+        refused = (cmd[0] == "tw" and composite or cmd[0] == "verify"
+                   and (composite or space == "cone:rp3"))
+        status = cli.main([*cmd, "--builtin", space, "--coeffs", coeffs])
+        assert status in ((2,) if refused else (0, 1)), cmd
+    capsys.readouterr()
+    assert twins
+    for twin in twins:
+        orders = twin.orders
+        assert twin.built == composite
+        assert orders == twin.group.build().orders
+
+
+def test_smith_forms_do_not_determine_homology_over_z4():
+    # the same invariant factors of D and of B, two different groups:
+    # over a composite modulus a group has no rule and builds
+    R = Zmod(4)
+    D = Matrix.from_rows(R, [[2, 0]])
+    groups = [homology_of(D, Matrix.from_rows(R, rows))
+              for rows in ([[2], [0]], [[0], [2]])]
+    assert [str(H) for H in groups] == ["(Z/4)", "Z/2 + Z/2"]
+    assert all(H.built for H in groups)
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ], ids=str)
+def test_rule_checks_the_boundaries(R, monkeypatch):
+    # one flipped sign in the boundary out of degree 2 of a fresh rp3
+    # makes d1 @ d2 nonzero: reading the orders of H_1 raises the
+    # ValueError the solve raises, from the rule's own check, with no
+    # cycle basis and no solve
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    X = filtered.builtin("rp3")
+    M = X.boundary_matrix(2, R)
+    i = min(M.rows)
+    j = min(M.rows[i])
+    flipped = Matrix(R, M.nrows, M.ncols,
+                     {r: dict(row) for r, row in M.rows.items()})
+    flipped.rows[i][j] = R.neg(flipped.rows[i][j])
+    monkeypatch.setitem(X.cache, ("boundary", 2, R.name), flipped)
+    calls = []
+    monkeypatch.setattr(complexes, "hermite_solve",
+                        lambda *a: calls.append("solve"))
+    monkeypatch.setattr(intersection, "kernel",
+                        lambda *a: calls.append("kernel"))
+    with pytest.raises(ValueError,
+                       match="boundary columns do not lie in the cycle span"):
+        X.homology(1, R).orders
+    assert calls == []
+    assert not X.homology(1, R).built
+
+
 @pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3), Zmod(4), Zmod(6)], ids=str)
 def test_random_groups_match_the_smith_form_of_all_of_y(R):
     rng = random.Random(67)
@@ -340,8 +422,12 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     # the largest input smith_normal_form gets, from group_from_cycles or
     # from invariant_factors, on a fresh sigma-rp3; the Smith form of
     # all of Y was 577 x 960 for homology and 577 x 1234 for verify
-    # factorization, and the oracle homology_type_of gave it the whole
-    # 848 x 960 boundary matrix before invariant_factors swept it
+    # factorization, and homology_type_of gave it the whole 848 x 960
+    # boundary matrix before invariant_factors swept it.  homology over
+    # Z builds no group: its orders come from the invariant factors of
+    # the boundary matrices, swept on their columns, which leaves 16 of
+    # the 960 columns of the degree-3 boundary aside (8 of its rows when
+    # swept on the rows, at more than twice the time)
     shapes = []
 
     def recording(M, transforms=True):
@@ -354,7 +440,7 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     def largest():
         return max(shapes, key=lambda s: (s[0] * s[1], s))
     for cmd, want in [
-            (["homology"], (1, 16)),
+            (["homology"], (16, 848)),
             (["homology", "--coeffs", "Zmod:4"], (2, 20)),
             (["table", "--coeffs", "Zmod:6"], (2, 20)),
             (["verify", "factorization"], (1, 16)),
@@ -367,10 +453,12 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     monkeypatch.setattr(filtered, "_builtin_cache", {})
     shapes.clear()
     C = filtered.builtin("sigma-rp3").chain_complex(ZZ)
-    assert [homology_type_of(C.boundary(k), C.boundary(k + 1))
-            for k in C.degrees()] == [(1, ()), (0, ()), (0, (2,)), (0, ()), (1, ())]
-    # the residual keeps all of the matrix's columns
-    assert largest() == (8, 960)
+    types = [homology_type_of(C.boundary(k), C.boundary(k + 1))
+             for k in C.degrees()]
+    assert types == [(1, ()), (0, ()), (0, (2,)), (0, ()), (1, ())]
+    # the residual keeps all of the matrix's rows
+    assert largest() == (16, 848)
+    assert types == [C.homology(k).build().iso_type() for k in C.degrees()]
 
 
 @pytest.mark.slow

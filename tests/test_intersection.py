@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ihomology import cli, complexes, intersection
+from ihomology import cli, complexes, filtered, intersection, snf
 from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.complexes import homology_type_of
 from ihomology.filtered import (barycentric_subdivision, builtin, cone,
@@ -204,7 +204,7 @@ def test_perverse_homology_matches_invariant_factors(sigma_rp3, R):
             C = P.complex
             for k in range(5):
                 d = -P.step * k
-                assert P.homology(k).iso_type() == homology_type_of(
+                assert P.homology(k).build().iso_type() == homology_type_of(
                     C.boundary(d), C.boundary(d + 1)), (p, P.step, k)
 
 
@@ -408,12 +408,12 @@ def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
         lattice = gm_lattice(K.n) if order is shuffled else []
         for p in lattice[::2]:
             for k in order:
-                intersection_homology(K, p, ring, k)
+                intersection_homology(K, p, ring, k).build()
         for k in order:
-            K.homology(k, ring)
+            K.homology(k, ring).build()
         for p in lattice[1::2]:
             for k in order:
-                intersection_homology(K, p, ring, k)
+                intersection_homology(K, p, ring, k).build()
         memo = chain_memo(K, ring)
         keys = [key for key in memo if key[0] == "basis" and key[3] is None]
         assert len(keys) >= n + 1
@@ -427,11 +427,11 @@ def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
 
 
 def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
-    # ascending degrees: each boundary is eliminated only on the pivot
-    # rows of the cycle basis one degree down, 1273 of its 2162 rows, and
-    # over Z/4 3821 of 4708 (the relations kernel(Z) included); one
-    # degree alone builds no lower degree, so it takes every row.  Both
-    # verify drivers ask for their groups in ascending stored degree:
+    # homology over Z builds no group, so it computes no kernel; over Z/4
+    # it builds every group in ascending degree, and each boundary is
+    # eliminated only on the pivot rows of the cycle basis one degree
+    # down, 3821 of its 4708 rows (the relations kernel(Z) included).
+    # Both verify drivers build their groups in ascending stored degree:
     # 11826 rows of 14178 and 3818 of 6170.
     rows = []
 
@@ -442,11 +442,11 @@ def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
     monkeypatch.setattr(complexes, "kernel", recording)
     monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
     assert cli.main(["homology", "--builtin", "sigma-rp3"]) == 0
-    assert rows == [42, 271, 577, 383]
+    assert rows == []
     rows.clear()
     assert cli.main(["homology", "--builtin", "sigma-rp3",
                      "--degree", "4"]) == 0
-    assert rows == [960]
+    assert rows == []
     assert capsys.readouterr().out == "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\nZ\n"
     rows.clear()
     assert cli.main(["homology", "--builtin", "sigma-rp3",
@@ -459,6 +459,47 @@ def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
     assert cli.main(["verify", "zero-top", "--builtin", "sigma-rp3",
                      "--coeffs", "Q"]) == 0
     assert sum(rows) == 3818
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each named snf function, wherever the package
+    imported it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(snf, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        for module in (snf, complexes, intersection):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Q"])
+def test_homology_needs_only_the_invariant_factors(coeffs, monkeypatch,
+                                                    capsys):
+    # the orders of every group come from the invariant factors of the
+    # four boundary matrices, each swept once: no cycle basis, no solve
+    calls = count_calls(monkeypatch,
+                        ["kernel", "hermite_solve", "invariant_factors"])
+    monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
+    assert cli.main(["homology", "--builtin", "sigma-rp3",
+                     "--coeffs", coeffs]) == 0
+    assert capsys.readouterr().out == (
+        "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\n" if coeffs == "Z"
+        else "0: Q\n1: 0\n2: 0\n3: 0\n4: Q\n")
+    assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4}
+
+
+@pytest.mark.slow
+def test_homology_of_the_60k_model_builds_no_group(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, ["kernel", "hermite_solve"])
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    assert cli.main(["homology", "--builtin", "susp:rp3-fine"]) == 0
+    assert capsys.readouterr().out == "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\n"
+    assert calls == {"kernel": 0, "hermite_solve": 0}
 
 
 @pytest.mark.slow
