@@ -5,34 +5,49 @@ complexes: simplicial and intersection homology, the blown-up cochain
 complex with its perverse filtration, cap products in both worlds, the
 comparison maps between them, and verification drivers for the duality
 statements those caps induce.
+
+Importing the package loads no layer: each name below, and each layer
+module as an attribute of the package, is looked up on first use (PEP
+562), so a job loads only the layers it runs.
 """
 
-from .rings import ZZ, QQ, Zmod, ring_by_name
-from .matrices import Matrix
-from .snf import smith_normal_form, invariant_factors, integer_kernel, kernel
-from .filtered import (FilteredComplex, NonOrientableError, builtin,
-                       cone, suspension, load_complex, parse_complex)
-from .perversity import (Perversity, zero, top, clip, gm_lattice,
-                         parse_perversity)
-from .intersection import (intersection_homology, perverse_complex,
-                           comparison_map, cohomology, gm_cohomology)
-from .blowup import (blowup_complex, tw_complex, tw_cohomology,
-                     tw_comparison)
-from .cap import (classical_cap, intersection_cap, classical_duality,
-                  classical_duality_induced, duality_map, leibniz_holds,
-                  verify_factorization, check_zero_top, gm_demo)
+from importlib import import_module
 
-__all__ = [
-    "ZZ", "QQ", "Zmod", "ring_by_name",
-    "Matrix",
-    "smith_normal_form", "invariant_factors", "integer_kernel", "kernel",
-    "FilteredComplex", "NonOrientableError", "builtin",
-    "cone", "suspension", "load_complex", "parse_complex",
-    "Perversity", "zero", "top", "clip", "gm_lattice", "parse_perversity",
-    "intersection_homology", "perverse_complex", "comparison_map",
-    "cohomology", "gm_cohomology",
-    "blowup_complex", "tw_complex", "tw_cohomology", "tw_comparison",
-    "classical_cap", "intersection_cap", "classical_duality",
-    "classical_duality_induced", "duality_map", "leibniz_holds",
-    "verify_factorization", "check_zero_top", "gm_demo",
-]
+_LAYERS = {
+    "rings": ("ZZ", "QQ", "Zmod", "ring_by_name"),
+    "matrices": ("Matrix",),
+    "snf": ("smith_normal_form", "invariant_factors", "integer_kernel",
+            "kernel"),
+    "complexes": (),
+    "filtered": ("FilteredComplex", "NonOrientableError", "builtin",
+                 "cone", "suspension", "load_complex", "parse_complex"),
+    "perversity": ("Perversity", "zero", "top", "clip", "gm_lattice",
+                   "parse_perversity"),
+    "intersection": ("intersection_homology", "perverse_complex",
+                     "comparison_map", "cohomology", "gm_cohomology"),
+    "blowup": ("blowup_complex", "tw_complex", "tw_cohomology",
+               "tw_comparison"),
+    "cap": ("classical_cap", "intersection_cap", "classical_duality",
+            "classical_duality_induced", "duality_map", "leibniz_holds",
+            "verify_factorization", "check_zero_top", "gm_demo"),
+}
+_HOME = {name: module for module, names in _LAYERS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    """A public name from its home module, or a layer module, imported
+    on first use and then kept as a global of the package."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _LAYERS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

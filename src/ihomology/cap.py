@@ -44,7 +44,7 @@ from .complexes import ChainMap, InducedMap
 from .filtered import builtin
 from .intersection import (cochain_complex, cohomology, comparison_map,
                            gm_cohomology, intersection_homology, is_allowable,
-                           perverse_complex)
+                           memo_key, perverse_complex)
 from .matrices import Matrix
 from .perversity import clip, top, zero
 from .rings import ZZ, RationalField, ZmodRing
@@ -224,6 +224,13 @@ class DualityMap:
     perverse basis of each degree it must land in the perverse chains
     and commute with the differentials; the whole blown-up complex need
     not satisfy either, so the checks stay on the perverse bases.
+
+    The check of degree k depends only on the caps, the blown-up basis
+    and the perverse allowable sets of degrees n - k and n - k - 1, so
+    it runs once per space, ring and caps for each pair of the memo keys
+    those live under (intersection.memo_key), whatever the perversity.
+    The keys are kept with the caps object they were checked on, and
+    only once every check of the map has passed.
     """
 
     def __init__(self, space, p, ring):
@@ -232,9 +239,19 @@ class DualityMap:
         self.tw = tw_complex(space, p, ring)
         self.pc = perverse_complex(space, p, ring)
         n = space.n
+        caps = _blown_caps(space, ring)
         self.matrices = {k: M.scale(ring.el(-1)) if duality_sign(k) < 0
-                         else M for k, M in _blown_caps(space, ring).items()}
+                         else M for k, M in caps.items()}
+        checked = space.cache.get(("duality_checks", ring.name))
+        if checked is None or checked[0] is not caps:
+            checked = space.cache[("duality_checks", ring.name)] = (caps, set())
+        done = checked[1]
+        passed = []
         for k, M in self.matrices.items():
+            key = (memo_key("basis", k, self.tw.allowable, k + 1),
+                   memo_key("basis", n - k, self.pc.allowable, n - k - 1))
+            if key in done:
+                continue
             Bk = self.tw.bases[k]
             image = M @ Bk
             if not self.pc.contains(n - k, image):
@@ -246,6 +263,8 @@ class DualityMap:
                           != self.pc.differential(n - k) @ image):
                 raise AssertionError(
                     f"blown-up duality is not a chain map at degree {k}")
+            passed.append(key)
+        done.update(passed)
 
     def induced(self, k):
         n = self.space.n

@@ -9,14 +9,35 @@ a broken internal invariant.
 """
 
 import argparse
+import importlib.util
 import sys
 
-from .blowup import tw_cohomology
-from .cap import check_zero_top, gm_demo, verify_factorization
 from .filtered import NonOrientableError, builtin, load_complex
 from .intersection import gm_cohomology, intersection_homology
-from .perversity import gm_lattice, parse_perversity
 from .rings import ring_by_name
+
+
+def _on_first_use(name):
+    """The submodule name of this package, put in sys.modules now and
+    run on the first access to one of its attributes (LazyLoader).
+
+    A command loads only the layers it runs: homology never touches the
+    perversity, blowup and cap layers bound below, so it never compiles
+    them.  A layer some module has already imported comes back as it
+    is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+perversity = _on_first_use("perversity")
+blowup = _on_first_use("blowup")
+cap = _on_first_use("cap")
 
 
 def _add_source(sp):
@@ -124,9 +145,10 @@ def _emit_table(head, body, fmt, out):
 
 
 def run(args, out):
+    """Run one parsed command, printing to out; returns the exit status."""
     cmd = args.command
     if cmd == "demo":
-        report = gm_demo(ring=ring_by_name(args.coeffs))
+        report = cap.gm_demo(ring=ring_by_name(args.coeffs))
         print(report, file=out)
         return 0 if report.ok else 1
 
@@ -135,9 +157,9 @@ def run(args, out):
 
     if cmd == "verify":
         if args.what == "factorization":
-            report = verify_factorization(space, ring)
+            report = cap.verify_factorization(space, ring)
         else:
-            report = check_zero_top(space, ring)
+            report = cap.check_zero_top(space, ring)
         print(report, file=out)
         return 0 if report.ok else 1
 
@@ -145,7 +167,7 @@ def run(args, out):
     degrees = _degree_list(getattr(args, "degree", None), n)
 
     if cmd == "table":
-        pervs = gm_lattice(n)
+        pervs = perversity.gm_lattice(n)
         head = ["perversity"] + [str(k) for k in degrees]
         body = [[str(p)] + [str(intersection_homology(space, p, ring, k))
                             for k in degrees]
@@ -156,9 +178,9 @@ def run(args, out):
     if cmd == "homology":
         rows = [(k, str(space.homology(k, ring))) for k in degrees]
     else:
-        p = parse_perversity(args.perversity, n)
-        fn = {"ih": intersection_homology, "tw": tw_cohomology,
-              "gm": gm_cohomology}[cmd]
+        p = perversity.parse_perversity(args.perversity, n)
+        fn = blowup.tw_cohomology if cmd == "tw" else \
+            {"ih": intersection_homology, "gm": gm_cohomology}[cmd]
         rows = [(k, str(fn(space, p, ring, k))) for k in degrees]
     _emit_groups(rows, args.format, out)
     return 0

@@ -118,18 +118,9 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
         rows = {}
-        orows = other.rows
+        orows, product = other.rows, R.row_product
         for i, row in self.rows.items():
-            acc = {}
-            for k, v in row.items():
-                orow = orows.get(k)
-                if orow is None:
-                    continue
-                for j, w in orow.items():
-                    p = R.mul(v, w)
-                    cur = acc.get(j)
-                    acc[j] = p if cur is None else R.add(cur, p)
-            acc = {j: x for j, x in acc.items() if not R.is_zero(x)}
+            acc = product(row, orows)
             if acc:
                 rows[i] = acc
         return Matrix(R, self.nrows, other.ncols, rows)

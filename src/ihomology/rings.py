@@ -10,6 +10,12 @@ elimination over Q runs on ints until a true fraction appears.  Z/m is
 a quotient of a PID, so diagonalization still works; its elements are
 kept as canonical lifts in range(m) and Bezout steps are computed on the
 lifts, which keeps every 2x2 transform invertible mod m.
+
+The sparse inner loops go through two fused kernels per ring, axpy
+and row_product, which run on native operators instead of one ring
+call per entry: over Z on + and * alone, over Z/m with one % m per
+entry, and over Q on ints until a Fraction appears, which is then put
+in canonical form.
 """
 
 from fractions import Fraction
@@ -85,8 +91,32 @@ class Ring:
         """Pivot-quality measure for nonzero a; smaller is better, units give 1."""
         raise NotImplementedError
 
+    def axpy(self, dst, src, c):
+        """dst += c * src on sparse dicts, in place: an entry that becomes
+        zero is dropped, a new one goes at the end."""
+        raise NotImplementedError
+
+    def row_product(self, row, rows):
+        """The sparse row vector row times the matrix whose sparse rows
+        are the dict rows: each entry summed in full, keys in order of
+        first appearance, then the zeros dropped."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.name
+
+
+def _row_sums(row, rows):
+    """The entries of row_product, each summed with native operators and
+    not yet reduced, keys in order of first appearance."""
+    acc = {}
+    get = acc.get
+    for k, v in row.items():
+        orow = rows.get(k)
+        if orow is not None:
+            for j, w in orow.items():
+                acc[j] = get(j, 0) + v * w
+    return acc
 
 
 class IntegerRing(Ring):
@@ -143,6 +173,19 @@ class IntegerRing(Ring):
 
     def size(self, a):
         return abs(a)
+
+    def axpy(self, dst, src, c):
+        if c:
+            get, pop = dst.get, dst.pop
+            for k, v in src.items():
+                w = get(k, 0) + c * v
+                if w:
+                    dst[k] = w
+                else:
+                    pop(k, None)
+
+    def row_product(self, row, rows):
+        return {j: x for j, x in _row_sums(row, rows).items() if x}
 
 
 def _canonical(q):
@@ -207,6 +250,22 @@ class RationalField(Ring):
 
     def size(self, a):
         return 1
+
+    def axpy(self, dst, src, c):
+        if c:
+            get, pop = dst.get, dst.pop
+            for k, v in src.items():
+                w = get(k, 0) + c * v
+                if w.__class__ is not int:
+                    w = _canonical(w)
+                if w:
+                    dst[k] = w
+                else:
+                    pop(k, None)
+
+    def row_product(self, row, rows):
+        return {j: x if x.__class__ is int else _canonical(x)
+                for j, x in _row_sums(row, rows).items() if x}
 
 
 def _is_prime(m):
@@ -297,6 +356,21 @@ class ZmodRing(Ring):
 
     def size(self, a):
         return gcd(a, self.m)
+
+    def axpy(self, dst, src, c):
+        if c:
+            m = self.m
+            get, pop = dst.get, dst.pop
+            for k, v in src.items():
+                w = (get(k, 0) + c * v) % m
+                if w:
+                    dst[k] = w
+                else:
+                    pop(k, None)
+
+    def row_product(self, row, rows):
+        m = self.m
+        return {j: y for j, x in _row_sums(row, rows).items() if (y := x % m)}
 
 
 ZZ = IntegerRing()

@@ -45,30 +45,15 @@ from .rings import ZmodRing
 
 
 def _axpy(R, dst, src, c):
-    """dst += c * src on sparse dicts, in place."""
-    if R.is_zero(c):
-        return
-    for k, v in src.items():
-        w = R.add(dst.get(k, R.zero), R.mul(c, v))
-        if R.is_zero(w):
-            dst.pop(k, None)
-        else:
-            dst[k] = w
+    """dst += c * src on sparse dicts, in place, by the ring's kernel."""
+    R.axpy(dst, src, c)
 
 
 def _combine(R, x, y, s, t):
     """Return s*x + t*y as a new sparse dict."""
     out = {}
-    for k, v in x.items():
-        w = R.mul(s, v)
-        if not R.is_zero(w):
-            out[k] = w
-    for k, v in y.items():
-        w = R.add(out.get(k, R.zero), R.mul(t, v))
-        if R.is_zero(w):
-            out.pop(k, None)
-        else:
-            out[k] = w
+    R.axpy(out, x, s)
+    R.axpy(out, y, t)
     return out
 
 

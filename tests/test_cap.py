@@ -15,8 +15,10 @@ from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
                            duality_map, duality_sign, gm_demo,
                            intersection_cap, leibniz_holds,
                            verify_factorization)
-from ihomology.filtered import parse_complex, simplex_sphere
-from ihomology.intersection import comparison_map, perverse_complex
+from ihomology.filtered import (parse_complex, projective_space,
+                                simplex_sphere, suspension)
+from ihomology.intersection import (PerverseSubcomplex, comparison_map,
+                                    perverse_complex)
 from ihomology.matrices import Matrix
 from ihomology.perversity import clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
@@ -125,6 +127,49 @@ def test_blown_duality_isomorphism(s4, sigma_rp3):
             dm = duality_map(space, p, ZZ)
             for k in range(5):
                 assert dm.is_isomorphism(k), (str(p), k)
+
+
+def test_each_distinct_duality_check_runs_once(monkeypatch):
+    # the check of degree k reads only the blown-up basis, fixed by the
+    # allowable tuples of degrees k and k + 1, and the perverse allowable
+    # sets of degrees n - k and n - k - 1: on a fresh sigma-rp3, 6 of the
+    # 15 (perversity, degree) checks repeat an earlier one
+    space = suspension(projective_space(4))
+    n = space.n
+    ran = []
+    real = PerverseSubcomplex.contains
+
+    def counting(self, k, M):
+        ran.append((k, self.allowable(k), self.allowable(k - 1), M.ncols))
+        return real(self, k, M)
+
+    monkeypatch.setattr(PerverseSubcomplex, "contains", counting)
+    distinct = set()
+    for p in (zero(n), clip(1, n), top(n)):
+        dm = duality_map(space, p, ZZ)
+        distinct.update((k, dm.tw.allowable(k), dm.tw.allowable(k + 1),
+                         dm.pc.allowable(n - k), dm.pc.allowable(n - k - 1))
+                        for k in range(n + 1))
+    assert len(ran) == len(set(ran)) == len(distinct) == 9
+
+
+def test_replaced_blown_caps_get_no_old_verdicts(monkeypatch):
+    # checks passed on the real caps do not count for other caps on the
+    # same space: after a passing verify factorization, a map built on
+    # broken caps still fails its chain-map check
+    space = simplex_sphere(2)
+    assert verify_factorization(space, ZZ).ok
+    real = cap._blown_caps
+
+    def broken(space, ring):
+        mats = dict(real(space, ring))
+        mats[1] = mats[1].scale(ring.el(2))
+        return mats
+
+    monkeypatch.setattr(cap, "_blown_caps", broken)
+    for p in (zero(2), top(2)):
+        with pytest.raises(AssertionError, match="chain map"):
+            cap.DualityMap(space, p, ZZ)
 
 
 def test_blown_duality_torsion_degree(sigma_rp3):

@@ -247,7 +247,7 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(space, ring):
         raise AssertionError("differential left the perverse subcomplex")
 
-    monkeypatch.setattr("ihomology.cli.check_zero_top", broken)
+    monkeypatch.setattr("ihomology.cap.check_zero_top", broken)
     code, out, err = run_cli(capsys, "verify", "zero-top", "--builtin", "s2")
     assert code == 3
     assert out == ""
@@ -257,11 +257,17 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 @pytest.mark.parametrize("caps, what", [("_classical_caps", "zero-top"),
                                          ("_blown_caps", "factorization")],
                          ids=["classical", "blown-up"])
-def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, caps,
-                                              what):
+def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, tmp_path,
+                                              caps, what):
     # the input is valid, so a cap that fails its chain-map check is a
-    # broken invariant, not bad input; nothing broken gets cached, since
-    # both checks run before their results are stored
+    # broken invariant, not bad input.  A file loads a fresh space on
+    # every run, so the passing run before it caches nothing, maps or
+    # passed checks, that the broken run could reuse
+    path = tmp_path / "s2.txt"
+    path.write_text("dim 2\n" + "".join(f"vertex {v} stratum 2\n"
+                                         for v in "abcd")
+                    + "facet a b c\nfacet a b d\nfacet a c d\nfacet b c d\n")
+    assert run_cli(capsys, "verify", what, "--input", str(path))[0] == 0
     real = getattr(cap, caps)
 
     def broken(space, ring):
@@ -270,7 +276,7 @@ def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, caps,
         return mats
 
     monkeypatch.setattr(cap, caps, broken)
-    code, out, err = run_cli(capsys, "verify", what, "--builtin", "s2")
+    code, out, err = run_cli(capsys, "verify", what, "--input", str(path))
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and "chain map" in err

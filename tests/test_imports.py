@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses, and no
-private helper or public definition is left that nothing calls.
+"""No module of the package imports a name it never uses, no private
+helper or public definition is left that nothing calls, and a job loads
+only the layers it runs.
 
-No linter runs on the package, so small ast scans stand in for three
+No linter runs on the package, so small ast scans stand in for four
 rules.  Unused imports: every name an import statement binds must be
 read somewhere else in the module; __init__.py binds names to re-export
 them and is left out.  Dead private code: every private module-level
@@ -10,11 +11,21 @@ name, an attribute or an imported name, somewhere in the package.  Dead
 public code: every public module-level function or class must be
 referenced in the same ways, or as a tracer target string such as
 "snf:hermite_solve", somewhere in the package, its tests or the
-benchmark harness.
+benchmark harness.  Imports sit at module level only: cli binds the
+layers a command may need as modules run on first use, so no function
+has to import one.
+
+Fresh interpreters check the loading itself: importing the package
+runs no layer, every name of its __all__ resolves to the object in its
+home module, and homology runs no perversity, blowup or cap layer.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +164,120 @@ def test_every_public_definition_is_referenced():
               for folder in ("tests", "perfbench")
               for p in sorted((ROOT / folder).rglob("*.py"))]
     assert unreferenced_public_definitions(package, others) == []
+
+
+def function_level_imports(source):
+    """Sorted qualified names of the functions, methods and classes in
+    source whose bodies hold an import statement."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and scope:
+                found.add(".".join(scope))
+            else:
+                visit(child, scope)
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_scan_finds_function_level_imports():
+    source = ("import os\nif os:\n    import re\n\n"
+              "def f():\n    if True:\n        import re\n\n"
+              "class K:\n    def m(self):\n        from . import x\n\n"
+              "    def n(self):\n        pass\n")
+    assert function_level_imports(source) == ["K.m", "f"]
+
+
+def test_no_function_imports_a_module():
+    found = {p.name: function_level_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def fresh(code, *argv):
+    """Run code in a fresh interpreter on the package under test and
+    return the JSON it prints on its last line of stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                       capture_output=True, text=True, check=True)
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+# the package modules that have run: one that cli put in sys.modules to
+# run on first use keeps a subclass of ModuleType until then
+LOADED = ("sorted(m for m, mod in sys.modules.items() "
+          "if m.startswith('ihomology') and type(mod) is types.ModuleType)")
+
+RESOLVE = f"""
+import json, sys, types
+import ihomology
+loaded = {LOADED}
+names = ihomology.__all__
+star = {{}}
+exec("from ihomology import *", star)
+homes = {{name: getattr(ihomology, name).__module__ for name in names}}
+wrong = [name for name in names if homes[name] == "ihomology"
+         or not (getattr(ihomology, name) is star[name]
+                 is getattr(sys.modules[homes[name]], name))]
+print(json.dumps([loaded, sorted(set(star) - {{"__builtins__"}}), wrong]))
+"""
+
+
+def test_every_public_name_resolves_to_its_home_on_first_use():
+    loaded, star, wrong = fresh(RESOLVE)
+    import ihomology
+    assert loaded == ["ihomology"]
+    assert star == sorted(ihomology.__all__)
+    assert wrong == []
+
+
+LAYERS = f"""
+import json, sys, types
+import ihomology
+unlisted = sorted(set(ihomology.__all__) - set(dir(ihomology)))
+loaded = {LOADED}
+wrong = [m for m in ihomology._LAYERS
+         if getattr(ihomology, m) is not sys.modules["ihomology." + m]]
+print(json.dumps([unlisted, loaded, wrong]))
+"""
+
+
+def test_layer_modules_are_attributes_of_the_package():
+    # as when the package imported every layer: dir() lists the public
+    # names before their first use, and ihomology.snf is the snf module
+    unlisted, loaded, wrong = fresh(LAYERS)
+    assert unlisted == []
+    assert loaded == ["ihomology"]
+    assert wrong == []
+
+
+RUN = f"""
+import json, sys, types
+from ihomology.cli import main
+status = main(sys.argv[1:])
+print()
+print(json.dumps([status, {LOADED}]))
+"""
+
+DUALITY_LAYERS = ["ihomology.blowup", "ihomology.cap", "ihomology.perversity"]
+
+
+def test_homology_loads_no_duality_layer(tmp_path, wedge_text):
+    path = tmp_path / "wedge.txt"
+    path.write_text(wedge_text)
+    status, loaded = fresh(RUN, "homology", "--input", str(path))
+    assert status == 0
+    assert "ihomology.intersection" in loaded
+    assert set(DUALITY_LAYERS).isdisjoint(loaded)
+
+
+def test_verify_factorization_loads_the_duality_layers():
+    status, loaded = fresh(RUN, "verify", "factorization", "--builtin", "s2")
+    assert status == 0
+    assert set(DUALITY_LAYERS) <= set(loaded)
