@@ -30,9 +30,8 @@ are in cap.py.
 from functools import cached_property
 from itertools import accumulate, combinations, product
 
-from .complexes import ChainMap, PresentedComplex
-from .intersection import (PerverseSubcomplex, cochain_complex, inclusion_map,
-                           perverse_basis)
+from .complexes import ChainMap, PresentedComplex, perverse_basis
+from .intersection import PerverseSubcomplex, cochain_complex, inclusion_map
 from .matrices import Matrix
 from .rings import ZZ, ZmodRing
 

@@ -40,11 +40,11 @@ from itertools import combinations
 
 from .blowup import (blown_cap, blowup_complex, cochain_embedding_terms,
                      template, tuple_flatten, tw_complex)
-from .complexes import ChainMap, InducedMap
+from .complexes import ChainMap, InducedMap, memo_key
 from .filtered import builtin
 from .intersection import (cochain_complex, cohomology, comparison_map,
                            gm_cohomology, intersection_homology, is_allowable,
-                           memo_key, perverse_complex)
+                           perverse_complex)
 from .matrices import Matrix
 from .perversity import clip, top, zero
 from .rings import ZZ, RationalField, ZmodRing
@@ -228,7 +228,7 @@ class DualityMap:
     The check of degree k depends only on the caps, the blown-up basis
     and the perverse allowable sets of degrees n - k and n - k - 1, so
     it runs once per space, ring and caps for each pair of the memo keys
-    those live under (intersection.memo_key), whatever the perversity.
+    those live under (complexes.memo_key), whatever the perversity.
     The keys are kept with the caps object they were checked on, and
     only once every check of the map has passed.
     """

@@ -4,11 +4,9 @@ A homology group is built on first use of its generators or
 coordinates.  Until then, over Z and over fields, its orders are the
 non-unit invariant factors of the boundaries B, then |cols| - rank
 D[:, cols] - rank B zeros, for the cycles of D on the columns cols
-(orders_by_rule; Dumas, Heckenbach, Saunders & Welker 2003).  Each
-boundary matrix is swept once and its factors kept, for the rank out of
-one degree and the torsion of the next.  Over a composite Z/m these do
-not determine the group (over Z/4, D = (2 0) gives Z/4 with B = (2 0)^T
-and Z/2 + Z/2 with B = (0 2)^T), so it is built.
+(Dumas, Heckenbach, Saunders & Welker 2003).  Over a composite Z/m
+these do not determine the group (over Z/4, D = (2 0) gives Z/4 with
+B = (2 0)^T and Z/2 + Z/2 with B = (0 2)^T), so it is built.
 
 A built group is a subquotient of the ambient chain module: a basis of
 cycles in the canonical echelon form of snf.kernel (the Hermite form
@@ -22,31 +20,48 @@ gives explicit generating cycles and well-defined coordinates of
 arbitrary cycles in the generators, which is what the product and
 duality checks need; a cycle's coordinates come from the same solve,
 which also rejects boundaries and chains that are not cycles, over
-every ring.
+every ring.  Over a composite Z/m the cycle module need not be free,
+so the relations among the cycle generators (the kernel of the cycle
+basis) join the boundary coordinates before the sweep; the invariant
+factors all divide m, and a free summand Z/m gets order m.
+
+Every group is made by shared_group, in a memo: one dict per complex
+and ring that holds everything its allowable sets determine.  The
+complex has a differential D out of each degree k to degree k + step
+(step -1 for chains, +1 for cochains), and allowable(k) lists the basis
+elements of degree k a (co)chain may use.  The keys (memo_key) are
+
+- ("basis", k, allowable(k), allowable(k + step)): the chains on
+  allowable(k) whose image lies on allowable(k + step), and under
+  ("basis", k, allowable(k), None) the cycles on allowable(k);
+- ("group", k, allowable(k), allowable(k - step)): the group of degree
+  k, whose boundaries come from the basis of degree k - step;
+- ("factors", k, cols, good): the invariant factors of D on the basis
+  ("basis", k, cols, good), which is D[:, cols] when good holds every
+  row, so one boundary matrix, swept once, gives the rank out of one
+  degree and the torsion of the next;
+- ("everything", n): the one tuple that allows all n elements.
+
+An empty set is None.  A HomologyGroup is never changed once built, so
+every complex whose allowable sets agree gets the same group: all
+perversities of a space and ring share one memo (intersection.py,
+blowup.py), and simplicial homology is the group that allows every
+simplex.  A PresentedComplex keeps a memo in which every set allows
+everything, and homology_of a throwaway one.
 
 A cycle basis is eliminated only on the rows that can be independent
-(cycle_matrix).  Once the group one degree down is built with the
-columns of D as its boundaries, its solve has proved each of them in
-the span of its cycle basis Z.  A nonzero vector of that span has its
-first nonzero entry on a pivot row of Z: the vectors of the span that
-vanish above a row are spanned by the columns pivoting at or below it
-(over a composite Z/m by the Howell property), and those pivoting
-below it vanish on it.  So D x = 0 exactly when D x vanishes on the
-pivot rows, over every ring, and kernel() returns the same canonical
-basis from them.  Groups built in ascending degree get this for free;
-no degree is built only to prune another.
-
-Over a composite Z/m the cycle module need not be free, so the
-relations among the cycle generators (the kernel of the cycle basis)
-join the boundary coordinates before the sweep; the invariant factors
-all divide m, and a free summand Z/m gets order m.
-
-A HomologyGroup is never changed once built, so one object may
-serve several complexes: the perverse (co)homology groups and the
-simplicial homology of a space are shared through the memo that
-intersection.py keys by the allowable sets.  A PresentedComplex keeps
-its own groups and boundary factors, per degree; the cochain and dual
-complexes use it.
+(cycle_matrix).  The group of degree k + step that allows everything
+in degrees k + step and k has all of D as its boundaries; once it is
+built, its solve has proved each column of D in the span of its cycle
+basis Z.  A nonzero vector of that span has its first nonzero entry on
+a pivot row of Z: the vectors of the span that vanish above a row are
+spanned by the columns pivoting at or below it (over a composite Z/m
+by the Howell property), and those pivoting below it vanish on it.  So
+D x = 0 exactly when D x vanishes on the pivot rows, over every ring,
+and every cycle basis of degree k, on any allowable columns, is the
+kernel of D on those rows alone: the same module, so the same
+canonical basis.  Groups built target first get this for free; no
+degree is built only to prune another.
 """
 
 from .matrices import Matrix
@@ -255,40 +270,125 @@ def cycle_matrix(D, below=None):
                    if i in D.rows})
 
 
-def factors_of(M):
-    """Invariant factors of M, swept on its columns (the rows of its
-    transpose), which fill in less on boundary matrices."""
-    return invariant_factors(M.transpose()) if M.rows else []
+def perverse_basis(ring, D, nk, cols, bad):
+    """Basis of the chains on the columns cols whose image under D misses
+    the rows bad, in full coordinates over nk basis elements.
+
+    D is the differential out of the degree, over ring.  The
+    basis is in the echelon form of hermite_column_form: column-Hermite
+    over Z, reduced column echelon over a field, Howell over a
+    composite Z/m.  The kernel on cols is already in that form, and
+    cols ascending keeps it so when its rows move to their full
+    positions.  cols and bad are ascending, so when they hold every
+    column and every row the basis is kernel(D) itself, with no copy.
+    """
+    if not cols:
+        return Matrix.zeros(ring, nk, 0)
+    if not bad:
+        ker = Matrix.identity(ring, len(cols))
+    elif len(bad) == D.nrows and len(cols) == nk:
+        ker = kernel(D)
+    else:
+        ker = kernel(D.submatrix(bad, cols))
+    if len(cols) == nk:
+        return ker
+    rows = {}
+    for jj, j in enumerate(cols):
+        r = ker.rows.get(jj)
+        if r:
+            rows[j] = dict(r)
+    return Matrix(ring, nk, ker.ncols, rows)
 
 
-def orders_by_rule(D, cols, B, factors_out, factors_in):
-    """Orders of the cycles of D on the columns cols modulo the columns
-    of B, over Z or a field, from the factors of D[:, cols]
-    (factors_out()) and of B (factors_in(B)).  Those cycles are a direct
-    summand of the chains (a chain with a nonzero multiple among them is
-    among them), so B has the same invariant factors in them as in the
-    chains.  B must lie on cols with D @ B == 0, else this raises
+def memo_key(kind, k, allowable, j):
+    """Key of a degree-k "basis" or "group" in a memo (see the module
+    docstring): a basis depends only on the allowable sets of degrees k
+    and j = k + step, where its image must lie, a group only on those of
+    degrees k and j = k - step, whose basis gives the boundaries.  The
+    set of degree j is None when it is empty, as it is when the complex
+    has no degree j."""
+    return kind, k, tuple(allowable(k)), tuple(allowable(j)) or None
+
+
+def everything(memo, n):
+    """The set allowing all n elements: one tuple per memo and length,
+    which every key holding it shares."""
+    if ("everything", n) not in memo:
+        memo["everything", n] = tuple(range(n))
+    return memo["everything", n]
+
+
+def shared_basis(memo, key, D):
+    """The basis under key = ("basis", k, cols, good) in memo: the
+    chains on the columns cols of D whose image under D lies on the
+    rows good (on no row when good is None)."""
+    B = memo.get(key)
+    if B is None:
+        good = set(key[3] or ())
+        B = memo[key] = perverse_basis(
+            D.ring, D, D.ncols, key[2],
+            [i for i in range(D.nrows) if i not in good])
+    return B
+
+
+def shared_factors(memo, key, matrix):
+    """The invariant factors under key = ("factors", k, cols, good) in
+    memo, those of the matrix matrix() returns, swept on its columns
+    (the rows of its transpose), which fill in less on boundary
+    matrices."""
+    f = memo.get(key)
+    if f is None:
+        M = matrix()
+        f = memo[key] = invariant_factors(M.transpose()) if M.rows else []
+    return f
+
+
+def shared_group(memo, k, allowable, step, D, boundaries):
+    """The degree-k group in memo, of a complex with differential D out
+    of degree k and degree k - step mapping in: the cycles on
+    allowable(k) modulo the columns boundaries() returns, built on
+    first use by group_from_cycles.  The cycles are the kernel of
+    cycle_matrix(D, below), where below is the group of degree k + step
+    that allows everything, if that is in memo and built.
+
+    Over Z and fields the orders come first from the rule of the module
+    docstring.  Those cycles are a direct summand of the chains (a chain
+    with a nonzero multiple among them is among them), so the boundaries
+    B have the same invariant factors in them as in the chains.  B must
+    lie on allowable(k) with D @ B == 0, else reading the orders raises
     ValueError as group_from_cycles does.
     """
-    if not set(cols).issuperset(B.rows) or not (D @ B).is_zero():
-        raise ValueError("boundary columns do not lie in the cycle span")
-    f = factors_in(B)
-    return ([d for d in f if not D.ring.is_unit(d)]
-            + [0] * (len(cols) - len(factors_out()) - len(f)))
+    key = memo_key("group", k, allowable, k - step)
+    H = memo.get(key)
+    if H is None:
+        ring, cols, rows = D.ring, key[2], everything(memo, D.nrows)
 
+        def cycles():
+            below = memo.get(("group", k + step, rows,
+                              everything(memo, D.ncols) or None))
+            return shared_basis(memo, ("basis", k, cols, None),
+                                cycle_matrix(D, below))
 
-def lazy_group(D, cols, boundaries, cycles, factors_out, factors_in):
-    """The group of the cycles of D on the columns cols modulo the
-    columns of boundaries(), built from the cycle basis cycles() on
-    first use, with orders_by_rule over Z and over fields."""
-    ring = D.ring
-    rule = None
-    if not isinstance(ring, ZmodRing) or ring.is_field:
         def rule():
-            return orders_by_rule(D, cols, boundaries(), factors_out,
-                                  factors_in)
-    return HomologyGroup.lazy(ring, D.ncols, lambda: group_from_cycles(
-        ring, D.ncols, cycles(), boundaries()), rule)
+            B = boundaries()
+            if not set(cols).issuperset(B.rows) or not (D @ B).is_zero():
+                raise ValueError(
+                    "boundary columns do not lie in the cycle span")
+            f = shared_factors(
+                memo, ("factors", k - step, key[3] or (), cols or None),
+                lambda: B)
+            out = shared_factors(
+                memo, ("factors", k, cols, rows or None),
+                lambda: D if len(cols) == D.ncols
+                else D.submatrix(rows, cols))
+            return ([d for d in f if not ring.is_unit(d)]
+                    + [0] * (len(cols) - len(out) - len(f)))
+        composite = isinstance(ring, ZmodRing) and not ring.is_field
+        H = memo[key] = HomologyGroup.lazy(
+            ring, D.ncols, lambda: group_from_cycles(
+                ring, D.ncols, cycles(), boundaries()),
+            None if composite else rule)
+    return H
 
 
 def homology_of(bd_out, bd_in):
@@ -300,14 +400,9 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    return lazy_group(bd_out, range(bd_out.ncols), lambda: bd_in,
-                      lambda: kernel(bd_out), lambda: factors_of(bd_out),
-                      factors_of)
-
-
-def homology_type_of(bd_out, bd_in):
-    """(free rank, sorted torsion), by orders_by_rule over Z and fields."""
-    return homology_of(bd_out, bd_in).iso_type()
+    memo, dims = {}, (bd_out.ncols, bd_in.ncols)
+    return shared_group(memo, 0, lambda j: everything(memo, dims[j]), -1,
+                        bd_out, lambda: bd_in)
 
 
 class PresentedComplex:
@@ -316,7 +411,8 @@ class PresentedComplex:
     dims maps degree -> rank of the chain module, boundaries maps k to
     the matrix of the differential from degree k to degree k-1.  Degrees
     may be any integers; missing degrees are zero.  Cochain complexes are
-    stored with negated degrees so the differential still lowers.
+    stored with negated degrees so the differential still lowers.  memo
+    holds the groups (see the module docstring).
     """
 
     def __init__(self, ring, dims, boundaries, check=True):
@@ -330,8 +426,7 @@ class PresentedComplex:
                                  f"{self.dim(k - 1)}x{self.dim(k)}")
             if not M.is_zero():
                 self.boundaries[k] = M
-        self._homology = {}
-        self._factors = {}
+        self.memo = {}
         if check:
             for k in list(self.boundaries):
                 if (k - 1) in self.boundaries:
@@ -350,24 +445,12 @@ class PresentedComplex:
             return Matrix(self.ring, self.dim(k - 1), self.dim(k))
         return M
 
-    def factors(self, k):
-        """Invariant factors of the boundary at degree k, kept: they give
-        the rank out of degree k and the torsion of degree k - 1."""
-        if k not in self._factors:
-            self._factors[k] = factors_of(self.boundary(k))
-        return self._factors[k]
-
     def homology(self, k):
-        if k not in self._homology:
-            if self.dim(k) == 0:
-                self._homology[k] = HomologyGroup.trivial(self.ring)
-            else:
-                D = self.boundary(k)
-                self._homology[k] = lazy_group(
-                    D, range(D.ncols), lambda: self.boundary(k + 1),
-                    lambda: kernel(cycle_matrix(D, self._homology.get(k - 1))),
-                    lambda: self.factors(k), lambda B: self.factors(k + 1))
-        return self._homology[k]
+        if self.dim(k) == 0:
+            return HomologyGroup.trivial(self.ring)
+        return shared_group(
+            self.memo, k, lambda j: everything(self.memo, self.dim(j)), -1,
+            self.boundary(k), lambda: self.boundary(k + 1))
 
     def shifted(self, n):
         """The same complex regraded so that degree k sits at k - n."""

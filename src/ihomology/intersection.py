@@ -18,44 +18,24 @@ it, which is all the boundaries need.  Over the integers and over
 fields the perverse bases also present the complex, which the dual
 complex of gm_cochain_complex is built from.
 
-Everything the allowable sets determine is computed once.  A based
-complex over one ring keeps one memo, shared by all its perversities:
-K.cache[("perverse_memo", ring name)] for chains and
-space.cache[("tw_memo", ring name)] for blown-up cochains.  The
-perverse basis of degree k sits under ("basis", k, allowable(k),
-allowable(k + step)), the cycles on allowable(k) under ("basis", k,
-allowable(k), None), and the group of degree k under ("group", k,
-allowable(k), allowable(k - step)), with None for an empty set
-(memo_key).  Simplicial homology is the chain group under the key that
-allows every simplex, so it is the very intersection homology group of
-each perversity that allows every simplex of degrees k and k + 1.  The
-set allowing all n elements is one tuple per memo, ("everything", n).
-
-A group is built on first use (complexes.lazy_group); until then, over
-Z and over fields, its orders come from invariant factors: under
-("factors", k, cols, good) those of the differential out of degree k
-on the basis ("basis", k, cols, good), which is D[:, cols] when good
-holds every row.  So one plain boundary matrix, swept once, gives the
-rank out of one degree of simplicial homology and the torsion of the
-next.
-
-The group that allows everything in degrees k + step and k has the
-whole differential D out of degree k as its boundaries, which its
-solve has proved in the span of its echelon cycle basis Z.  Over every
-ring a nonzero vector of that span is nonzero on a pivot row of Z, so
-D x = 0 exactly when D x vanishes there: once that group is built,
-every cycle basis of degree k, on any allowable columns, is the kernel
-of D on those rows alone, the same module and so the same basis
-(complexes.cycle_matrix).
+A based complex over one ring keeps one memo (complexes.shared_group),
+shared by all its perversities: K.cache[("perverse_memo", ring name)]
+for chains and space.cache[("tw_memo", ring name)] for blown-up
+cochains.  Its keys hold the allowable sets of the degrees involved,
+so a basis or group is computed once for all perversities that allow
+the same elements there.  Simplicial homology is the chain group under
+the key that allows every simplex, so it is the very intersection
+homology group of each perversity that allows every simplex of degrees
+k and k + 1.
 """
 
 from functools import cached_property
 
 from .complexes import (HomologyGroup, InducedMap, PresentedComplex,
-                        cycle_matrix, factors_of, lazy_group)
+                        everything, memo_key, shared_basis, shared_group)
 from .matrices import Matrix
 from .rings import ZmodRing
-from .snf import hermite_solve, kernel
+from .snf import hermite_solve
 
 
 def is_allowable(K, simplex, p):
@@ -79,111 +59,6 @@ def allowable_indices(K, k, p):
                     if is_allowable(K, s, p))
         K.cache[key] = idx
     return idx
-
-
-def perverse_basis(ring, D, nk, cols, bad):
-    """Basis of the chains on the columns cols whose image under D misses
-    the rows bad, in full coordinates over nk basis elements.
-
-    D is the differential out of the degree, over ring.  The
-    basis is in the echelon form of hermite_column_form: column-Hermite
-    over Z, reduced column echelon over a field, Howell over a
-    composite Z/m.  The kernel on cols is already in that form, and
-    cols ascending keeps it so when its rows move to their full
-    positions.  cols and bad are ascending, so when they hold every
-    column and every row the basis is kernel(D) itself, with no copy.
-    """
-    if not cols:
-        return Matrix.zeros(ring, nk, 0)
-    if not bad:
-        ker = Matrix.identity(ring, len(cols))
-    elif len(bad) == D.nrows and len(cols) == nk:
-        ker = kernel(D)
-    else:
-        ker = kernel(D.submatrix(bad, cols))
-    if len(cols) == nk:
-        return ker
-    rows = {}
-    for jj, j in enumerate(cols):
-        r = ker.rows.get(jj)
-        if r:
-            rows[j] = dict(r)
-    return Matrix(ring, nk, ker.ncols, rows)
-
-
-def memo_key(kind, k, allowable, j):
-    """Key of a degree-k "basis" or "group" in the memo of its complex
-    and ring, which holds everything the allowable sets determine.
-
-    A basis depends only on the allowable sets of degrees k and
-    j = k + step, where its image must lie; a group only on those of
-    degrees k and j = k - step, whose basis gives the boundaries.  The
-    set of degree j is None when it is empty, as it is when the complex
-    has no degree j, so the cycles on allowable(k) are the basis under
-    ("basis", k, allowable(k), None).
-    """
-    return kind, k, tuple(allowable(k)), tuple(allowable(j)) or None
-
-
-def everything(memo, n):
-    """The set allowing all n elements: one tuple per memo and length,
-    which every key holding it shares."""
-    if ("everything", n) not in memo:
-        memo["everything", n] = tuple(range(n))
-    return memo["everything", n]
-
-
-def shared_basis(memo, key, D):
-    """The basis under key = ("basis", k, cols, good) in memo: the
-    chains on the columns cols of D whose image under D lies on the
-    rows good (on no row when good is None)."""
-    B = memo.get(key)
-    if B is None:
-        good = set(key[3] or ())
-        B = memo[key] = perverse_basis(
-            D.ring, D, D.ncols, key[2],
-            [i for i in range(D.nrows) if i not in good])
-    return B
-
-
-def shared_factors(memo, key, M):
-    """The invariant factors under key = ("factors", k, cols, good) in
-    memo, those of the matrix M() (see the module docstring)."""
-    f = memo.get(key)
-    if f is None:
-        f = memo[key] = factors_of(M())
-    return f
-
-
-def shared_group(memo, k, allowable, step, D, boundaries):
-    """The degree-k group in memo, of a complex with differential D out
-    of degree k and degree k - step mapping in: the cycles on
-    allowable(k) modulo the columns boundaries() returns, built on
-    first use (complexes.lazy_group).  The cycles are the kernel of
-    cycle_matrix(D, below), where below is the group of degree k + step
-    that allows everything, if that is in memo and built."""
-    key = memo_key("group", k, allowable, k - step)
-    H = memo.get(key)
-    if H is None:
-        cols, rows = key[2], everything(memo, D.nrows)
-
-        def cycles():
-            below = memo.get(("group", k + step, rows,
-                              everything(memo, D.ncols) or None))
-            return shared_basis(memo, ("basis", k, cols, None),
-                                cycle_matrix(D, below))
-
-        def factors_out():
-            return shared_factors(
-                memo, ("factors", k, cols, rows or None),
-                lambda: D if len(cols) == D.ncols
-                else D.submatrix(rows, cols))
-        H = memo[key] = lazy_group(
-            D, cols, boundaries, cycles, factors_out,
-            lambda B: shared_factors(
-                memo, ("factors", k - step, key[3] or (), cols or None),
-                lambda: B))
-    return H
 
 
 class PerverseSubcomplex:

@@ -1,6 +1,23 @@
+import sys
+
 import pytest
 
+from ihomology import snf
 from ihomology.filtered import builtin
+
+
+@pytest.fixture
+def patch_snf(monkeypatch):
+    """patch_snf(name, fake) puts fake in place of the snf function name
+    in every loaded ihomology module that binds it, snf included, so a
+    test need not know which modules import it."""
+    def patch(name, fake):
+        real = getattr(snf, name)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.partition(".")[0] == "ihomology"
+                    and vars(module).get(name) is real):
+                monkeypatch.setattr(module, name, fake)
+    return patch
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from ihomology import cli, complexes, filtered, intersection, snf
+from ihomology import cli, complexes, filtered, snf
 from ihomology.matrices import Matrix
 from ihomology.rings import ZZ, QQ, Zmod, ZmodRing
 from ihomology.complexes import (ChainMap, HomologyGroup, PresentedComplex,
-                                 group_from_cycles, homology_of,
-                                 homology_type_of)
+                                 group_from_cycles, homology_of)
 from ihomology.snf import (hermite_solve, hermite_solve_vector, kernel,
                            smith_normal_form)
 
@@ -57,7 +56,7 @@ def test_projective_plane_cw():
     C = PresentedComplex(ZZ, {0: 1, 1: 1, 2: 1},
                          {1: Matrix.zeros(ZZ, 1, 1),
                           2: Matrix.from_rows(ZZ, [[2]])})
-    # built, so that the rule of homology_type_of is checked against the
+    # built, so that the rule of homology_of is checked against the
     # groups' own orders
     assert str(C.homology(0).build()) == "Z"
     assert str(C.homology(1).build()) == "Z/2"
@@ -65,7 +64,7 @@ def test_projective_plane_cw():
     C2 = PresentedComplex(Zmod(2), C.dims,
                           {k: M.map_ring(Zmod(2)) for k, M in C.boundaries.items()})
     assert [C2.homology(k).free_rank for k in (0, 1, 2)] == [1, 1, 1]
-    assert homology_type_of(C.boundary(1), C.boundary(2)) == (0, (2,))
+    assert homology_of(C.boundary(1), C.boundary(2)).iso_type() == (0, (2,))
 
 
 def test_triangle_circle():
@@ -375,7 +374,7 @@ def test_smith_forms_do_not_determine_homology_over_z4():
 
 
 @pytest.mark.parametrize("R", [ZZ, QQ], ids=str)
-def test_rule_checks_the_boundaries(R, monkeypatch):
+def test_rule_checks_the_boundaries(R, monkeypatch, patch_snf):
     # one flipped sign in the boundary out of degree 2 of a fresh rp3
     # makes d1 @ d2 nonzero: reading the orders of H_1 raises the
     # ValueError the solve raises, from the rule's own check, with no
@@ -390,10 +389,8 @@ def test_rule_checks_the_boundaries(R, monkeypatch):
     flipped.rows[i][j] = R.neg(flipped.rows[i][j])
     monkeypatch.setitem(X.cache, ("boundary", 2, R.name), flipped)
     calls = []
-    monkeypatch.setattr(complexes, "hermite_solve",
-                        lambda *a: calls.append("solve"))
-    monkeypatch.setattr(intersection, "kernel",
-                        lambda *a: calls.append("kernel"))
+    patch_snf("hermite_solve", lambda *a: calls.append("solve"))
+    patch_snf("kernel", lambda *a: calls.append("kernel"))
     with pytest.raises(ValueError,
                        match="boundary columns do not lie in the cycle span"):
         X.homology(1, R).orders
@@ -422,7 +419,7 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     # the largest input smith_normal_form gets, from group_from_cycles or
     # from invariant_factors, on a fresh sigma-rp3; the Smith form of
     # all of Y was 577 x 960 for homology and 577 x 1234 for verify
-    # factorization, and homology_type_of gave it the whole 848 x 960
+    # factorization, and homology_of gave it the whole 848 x 960
     # boundary matrix before invariant_factors swept it.  homology over
     # Z builds no group: its orders come from the invariant factors of
     # the boundary matrices, swept on their columns, which leaves 16 of
@@ -453,7 +450,7 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     monkeypatch.setattr(filtered, "_builtin_cache", {})
     shapes.clear()
     C = filtered.builtin("sigma-rp3").chain_complex(ZZ)
-    types = [homology_type_of(C.boundary(k), C.boundary(k + 1))
+    types = [homology_of(C.boundary(k), C.boundary(k + 1)).iso_type()
              for k in C.degrees()]
     assert types == [(1, ()), (0, ()), (0, (2,)), (0, ()), (1, ())]
     # the residual keeps all of the matrix's rows

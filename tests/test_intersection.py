@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from ihomology import cli, complexes, filtered, intersection, snf
+from ihomology import cli, filtered, snf
 from ihomology.blowup import blowup_complex, tw_complex
-from ihomology.complexes import homology_type_of
+from ihomology.complexes import homology_of
 from ihomology.filtered import (barycentric_subdivision, builtin, cone,
                                 projective_space, simplex_sphere, suspension)
 from ihomology.intersection import (allowable_indices, chain_memo,
@@ -204,8 +204,9 @@ def test_perverse_homology_matches_invariant_factors(sigma_rp3, R):
             C = P.complex
             for k in range(5):
                 d = -P.step * k
-                assert P.homology(k).build().iso_type() == homology_type_of(
-                    C.boundary(d), C.boundary(d + 1)), (p, P.step, k)
+                H = homology_of(C.boundary(d), C.boundary(d + 1))
+                assert P.homology(k).build().iso_type() == H.iso_type(), (
+                    p, P.step, k)
 
 
 def primary_parts(orders):
@@ -426,7 +427,8 @@ def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
             assert H.cycles == kernel(C.boundary(d)), d
 
 
-def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
+def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, patch_snf,
+                                                       capsys):
     # homology over Z builds no group, so it computes no kernel; over Z/4
     # it builds every group in ascending degree, and each boundary is
     # eliminated only on the pivot rows of the cycle basis one degree
@@ -438,8 +440,7 @@ def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
     def recording(M):
         rows.append(len(M.rows))
         return kernel(M)
-    monkeypatch.setattr(intersection, "kernel", recording)
-    monkeypatch.setattr(complexes, "kernel", recording)
+    patch_snf("kernel", recording)
     monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
     assert cli.main(["homology", "--builtin", "sigma-rp3"]) == 0
     assert rows == []
@@ -461,7 +462,7 @@ def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, capsys):
     assert sum(rows) == 3818
 
 
-def count_calls(monkeypatch, names):
+def count_calls(patch_snf, names):
     """Count the calls of each named snf function, wherever the package
     imported it."""
     calls = dict.fromkeys(names, 0)
@@ -471,18 +472,16 @@ def count_calls(monkeypatch, names):
         def counting(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
-        for module in (snf, complexes, intersection):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
+        patch_snf(name, counting)
     return calls
 
 
 @pytest.mark.parametrize("coeffs", ["Z", "Q"])
 def test_homology_needs_only_the_invariant_factors(coeffs, monkeypatch,
-                                                    capsys):
+                                                    patch_snf, capsys):
     # the orders of every group come from the invariant factors of the
     # four boundary matrices, each swept once: no cycle basis, no solve
-    calls = count_calls(monkeypatch,
+    calls = count_calls(patch_snf,
                         ["kernel", "hermite_solve", "invariant_factors"])
     monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
     assert cli.main(["homology", "--builtin", "sigma-rp3",
@@ -493,9 +492,24 @@ def test_homology_needs_only_the_invariant_factors(coeffs, monkeypatch,
     assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4}
 
 
+@pytest.mark.parametrize("R", [ZZ, QQ], ids=str)
+def test_cochain_orders_need_only_the_invariant_factors(R, patch_snf):
+    # each of the four coboundaries is swept once, for the rank out of
+    # one degree and the torsion of the next, and each group is made once
+    calls = count_calls(patch_snf,
+                        ["kernel", "hermite_solve", "invariant_factors"])
+    C = cochain_complex(fresh_sigma_rp3(), R)
+    orders = [C.homology(d).orders for d in range(-4, 1)]
+    assert orders == ([[0], [2], [], [], [0]] if R is ZZ
+                      else [[0], [], [], [], [0]])
+    assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4}
+    assert all(C.homology(d) is C.homology(d) for d in range(-4, 1))
+
+
 @pytest.mark.slow
-def test_homology_of_the_60k_model_builds_no_group(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, ["kernel", "hermite_solve"])
+def test_homology_of_the_60k_model_builds_no_group(monkeypatch, patch_snf,
+                                                   capsys):
+    calls = count_calls(patch_snf, ["kernel", "hermite_solve"])
     monkeypatch.setattr(filtered, "_builtin_cache", {})
     assert cli.main(["homology", "--builtin", "susp:rp3-fine"]) == 0
     assert capsys.readouterr().out == "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\n"
