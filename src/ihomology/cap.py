@@ -10,8 +10,8 @@ the blown top chain, blows the result down and pushes it forward; the
 terms that survive are the cap support of the simplex's template
 (blowup.LocalBlowup), put on its vertices.  The builder tells the caps
 apart only by each simplex's list of terms; non-regular simplices
-contribute nothing to either.  check_local_cap_factorization caps apart
-from it, blown_cap by blown_cap, as an independent local oracle.
+contribute nothing to either.  The caps of a single cochain and chain,
+and the oracles that check them, are in checks.
 
 Capping with the fundamental class gives the duality maps, with a
 degree sign that makes them commute on the nose:
@@ -30,34 +30,21 @@ and raises AssertionError.
 
 The verification drivers at the bottom replay the duality criteria on a
 given complex: the factorization of the classical duality map through
-the blown-up complexes, the degreewise equivalence between classical
-duality and the zero-to-top comparison, and the degree-3 obstruction
-display for the suspended projective space.
+the blown-up complexes, and the degreewise equivalence between
+classical duality and the zero-to-top comparison.  Only the first
+reads the blown-up complex, so blowup is bound on first use.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
-from .blowup import (blown_cap, blowup_complex, cochain_embedding_terms,
-                     template, tuple_flatten, tw_complex)
+from . import _on_first_use
 from .complexes import ChainMap, InducedMap, memo_key
-from .filtered import builtin
-from .intersection import (cochain_complex, cohomology, comparison_map,
-                           gm_cohomology, intersection_homology, is_allowable,
-                           perverse_complex)
+from .intersection import cochain_complex, comparison_map, perverse_complex
 from .matrices import Matrix
 from .perversity import clip, top, zero
-from .rings import ZZ, RationalField, ZmodRing
+from .rings import RationalField, ZmodRing
 
-
-def classical_cap_local(face, simplex):
-    """Back face of the cap of a dual cochain with an ordered simplex.
-
-    None unless face is the front face of the simplex."""
-    r = len(face) - 1
-    if tuple(face) != tuple(simplex[:r + 1]):
-        return None
-    return tuple(simplex[r:])
+blowup = _on_first_use("blowup")
 
 
 def duality_sign(k):
@@ -86,7 +73,7 @@ def _support_of(space, si, m):
     sup = space.cache.get(key)
     if sup is None:
         s = space.simplices(m)[si]
-        T = template(space, s)
+        T = blowup.template(space, s)
         put = T.put(s)
         sup = space.cache[key] = {
             k: tuple((put[k][i], sg, space.index_of(tuple([s[a] for a in G])))
@@ -107,7 +94,7 @@ def _cap_matrix(space, ring, k, m, xi, blown):
     simplex's cap support in degree k.
     """
     if blown:
-        B = blowup_complex(space)
+        B = blowup.blowup_complex(space)
         ncols, column = B.dim(k), lambda b: B.index[b][1]
     else:
         ncols, column = len(space.simplices(k)), space.index_of
@@ -129,27 +116,6 @@ def _cap_matrix(space, ring, k, m, xi, blown):
             for gi, row in rows.items()}
     return Matrix(ring, len(space.simplices(m - k)), ncols,
                   {gi: row for gi, row in rows.items() if row})
-
-
-def intersection_cap(space, ring, k, omega, m, xi):
-    """Global cap of a degree-k blown cochain with a degree-m chain.
-
-    omega is keyed by basis tuples, xi by m-simplex indices; the result
-    is keyed by (m-k)-simplex indices.  Simplices that miss the top
-    stratum are skipped.
-    """
-    B = blowup_complex(space)
-    return _cap_matrix(space, ring, k, m, xi, True) @ {
-        B.index[b][1]: w for b, w in omega.items()}
-
-
-def classical_cap(space, ring, k, omega, m, xi):
-    """Global classical cap, front face against back face.
-
-    omega is keyed by k-simplex indices, xi by m-simplex indices; the
-    non-regular simplices of xi are skipped, as in the blown-up cap.
-    """
-    return _cap_matrix(space, ring, k, m, xi, False) @ omega
 
 
 # --- cap-with-fundamental-class matrices ---
@@ -236,7 +202,7 @@ class DualityMap:
     def __init__(self, space, p, ring):
         _check_ring(ring)
         self.space = space
-        self.tw = tw_complex(space, p, ring)
+        self.tw = blowup.tw_complex(space, p, ring)
         self.pc = perverse_complex(space, p, ring)
         n = space.n
         caps = _blown_caps(space, ring)
@@ -283,114 +249,6 @@ def duality_map(space, p, ring):
     return got
 
 
-# --- identity and property checkers ---
-
-def leibniz_holds(space, ring, k, omega, m, xi):
-    """Boundary-of-cap identity on one pair, all terms expanded:
-
-    d(w cap xi) = (-1)^k (w cap (d xi) - (dw) cap xi)."""
-    B = blowup_complex(space)
-    w = {B.index[b][1]: v for b, v in omega.items()}
-    lhs = _cap_matrix(space, ring, k, m, xi, True) @ w
-    if m - k > 0:
-        lhs = space.boundary_matrix(m - k, ring) @ lhs
-    else:
-        lhs = {}
-    dxi = space.boundary_matrix(m, ring) @ xi if m > 0 else {}
-    t1 = _cap_matrix(space, ring, k, m - 1, dxi, True) @ w
-    dw = B.differential(k, ring) @ w if k < B.top else {}
-    t2 = _cap_matrix(space, ring, k + 1, m, xi, True) @ dw
-    sign = ring.el(-1 if k % 2 else 1)
-    for gi in set(lhs) | set(t1) | set(t2):
-        want = ring.mul(sign, ring.sub(t1.get(gi, ring.zero),
-                                       t2.get(gi, ring.zero)))
-        if lhs.get(gi, ring.zero) != want:
-            return False
-    return True
-
-
-def cap_bookkeeping_ok(space, ring, p, q, k, omega, m, xi):
-    """Perversity bound on a cap: a p-bounded cochain against a chain of
-    q-intersection gives a chain of (p+q)-intersection."""
-    pq = p + q
-    out = intersection_cap(space, ring, k, omega, m, xi)
-    chains = [(m - k, out)]
-    if m - k > 0:
-        chains.append((m - k - 1, space.boundary_matrix(m - k, ring) @ out))
-    for d, chain in chains:
-        for gi, v in chain.items():
-            if ring.is_zero(v):
-                continue
-            if not is_allowable(space, space.simplices(d)[gi], pq):
-                return False
-    return True
-
-
-def check_chain_identity(space):
-    """The embedded cochain caps like the original, one simplex at a
-    time: for every simplicial cochain c and every simplex s of the
-    space, (embedding of c) cap s = c cap s, over the integers.
-
-    On simplices missing the top stratum both global caps are zero by
-    convention, so only regular simplices can contribute entries.  For
-    each regular simplex and each degree k the blown-up cap matrix times
-    the degree-k embedding must equal the classical cap matrix, which
-    covers every cochain at once.  Returns the number of (cochain,
-    simplex) pairs covered; raises on the first mismatch.
-    """
-    n = space.n
-    B = blowup_complex(space)
-    emb = {k: B.embedding_matrix(k) for k in range(n + 1)}
-    n_simplices = sum(len(space.simplices(m)) for m in range(n + 1))
-    for m in range(n + 1):
-        for si, s in enumerate(space.simplices(m)):
-            if not space.is_regular(s):
-                continue
-            for k in range(m + 1):
-                if (_cap_matrix(space, ZZ, k, m, {si: 1}, True) @ emb[k]
-                        != _cap_matrix(space, ZZ, k, m, {si: 1}, False)):
-                    raise AssertionError(
-                        f"cap identity fails on simplex {s} in degree {k}")
-    return n_simplices * n_simplices
-
-
-def check_local_cap_factorization(space):
-    """Embed, cap in the blowup, blow down: equals the classical local
-    cap, for every face of every regular simplex.  Returns the number of
-    (face, simplex) pairs checked; raises on the first mismatch."""
-    checked = 0
-    for m in range(space.n + 1):
-        for s in space.simplices(m):
-            if not space.is_regular(s):
-                continue
-            parts = space.join_decomposition(s).parts
-            faces = [F for r in range(1, m + 2)
-                     for F in combinations(tuple(s), r)]
-            for F in faces:
-                sign, terms = cochain_embedding_terms(F, parts)
-                acc = {}
-                for b in terms:
-                    res = blown_cap(b, parts)
-                    if res is None:
-                        continue
-                    s2, t = res
-                    G = tuple_flatten(t)
-                    if G is None:
-                        continue
-                    v = acc.get(G, 0) + sign * s2
-                    if v:
-                        acc[G] = v
-                    else:
-                        acc.pop(G, None)
-                back = classical_cap_local(F, tuple(s))
-                want = {back: 1} if back is not None else {}
-                if acc != want:
-                    raise AssertionError(
-                        f"local cap factorization fails at {F} in {s}")
-                checked += 1
-    return checked
-
-
 # --- verification drivers ---
 
 class Report:
@@ -431,7 +289,7 @@ def verify_factorization(space, ring, perversities=None):
     C = cochain_complex(space, ring)
     classical = _classical_caps(space, ring)
     blown = _blown_caps(space, ring)
-    B = blowup_complex(space)
+    B = blowup.blowup_complex(space)
     emb = {k: B.embedding_matrix(k).map_ring(ring) for k in range(n + 1)}
     _build_ascending(space, ring)
     lines = []
@@ -515,42 +373,3 @@ def check_zero_top(space, ring):
     return report
 
 
-def gm_demo(space=None, ring=ZZ):
-    """Degree-3 obstruction display for the suspended projective space.
-
-    The two dual-complex cohomologies in degree 3 bracket an
-    isomorphism of degree-1 intersection homologies; with integer
-    coefficients the middle group vanishes, so no duality map can
-    factor through the dual complexes."""
-    if space is None:
-        space = builtin("sigma-rp3")
-    n = space.n
-    rows = [
-        ("cohomology, degree 3",
-         str(cohomology(space, ring, 3)), "Z/2"),
-        ("gm cohomology, clip:2, degree 3",
-         str(gm_cohomology(space, clip(2, n), ring, 3)), "Z/2"),
-        ("gm cohomology, clip:1, degree 3",
-         str(gm_cohomology(space, clip(1, n), ring, 3)), "0"),
-        ("intersection homology, zero, degree 1",
-         str(intersection_homology(space, zero(n), ring, 1)), "Z/2"),
-        ("intersection homology, clip:1, degree 1",
-         str(intersection_homology(space, clip(1, n), ring, 1)), "Z/2"),
-    ]
-    ok = True
-    lines = []
-    for label, got, want in rows:
-        good = got == want
-        ok = ok and good
-        note = "" if good else f"  (expected {want})"
-        lines.append(f"{label} = {got}{note}")
-    beta = comparison_map(space, zero(n), clip(1, n), ring, 1)
-    biso = beta.is_isomorphism()
-    ok = ok and biso
-    lines.append("comparison zero -> clip:1, degree 1: "
-                 + ("isomorphism" if biso else "NOT an isomorphism"))
-    if ok:
-        lines.append("an isomorphism of the degree-1 groups cannot factor "
-                     "through the trivial degree-3 group")
-    lines.append("PASS" if ok else "FAIL")
-    return Report(ok, lines)

@@ -5,39 +5,22 @@ the verification drivers (verify factorization, verify zero-top,
 demo sigma-rp3).  Groups print as `Z^r + Z/d1 + Z/d2 ...`; a single
 requested degree prints the bare group.  Exit status: 0 on success or a
 verified report, 1 on a verification failure, 2 on invalid input, 3 on
-a broken internal invariant.
+a broken internal invariant.  The layers only some commands run are
+bound on first use, so a command compiles only the layers it runs.
 """
 
 import argparse
-import importlib.util
 import sys
 
+from . import _on_first_use
 from .filtered import NonOrientableError, builtin, load_complex
 from .intersection import gm_cohomology, intersection_homology
 from .rings import ring_by_name
 
-
-def _on_first_use(name):
-    """The submodule name of this package, put in sys.modules now and
-    run on the first access to one of its attributes (LazyLoader).
-
-    A command loads only the layers it runs: homology never touches the
-    perversity, blowup and cap layers bound below, so it never compiles
-    them.  A layer some module has already imported comes back as it
-    is."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[full] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
-
-
 perversity = _on_first_use("perversity")
 blowup = _on_first_use("blowup")
 cap = _on_first_use("cap")
+checks = _on_first_use("checks")
 
 
 def _add_source(sp):
@@ -148,7 +131,7 @@ def run(args, out):
     """Run one parsed command, printing to out; returns the exit status."""
     cmd = args.command
     if cmd == "demo":
-        report = cap.gm_demo(ring=ring_by_name(args.coeffs))
+        report = checks.gm_demo(ring=ring_by_name(args.coeffs))
         print(report, file=out)
         return 0 if report.ok else 1
 

@@ -11,9 +11,10 @@ two workout spaces are the boundary of the 5-simplex (a compact
 import random
 
 from ihomology.blowup import LocalBlowup, blowup_complex, tw_complex
-from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
-                           check_local_cap_factorization, check_zero_top,
-                           gm_demo, leibniz_holds, verify_factorization)
+from ihomology.cap import check_zero_top, verify_factorization
+from ihomology.checks import (cap_bookkeeping_ok, check_chain_identity,
+                              check_local_cap_factorization, gm_demo,
+                              leibniz_holds)
 from ihomology.filtered import builtin
 from ihomology.intersection import (allowable_indices, cochain_complex,
                                     cohomology, comparison_map,

@@ -4,24 +4,25 @@ import random
 
 import pytest
 
+from ihomology import blowup
 from ihomology.blowup import (blown_cap, blowup_complex,
                               cochain_embedding_terms, tuple_flatten,
                               tw_complex)
 import ihomology.cap as cap
-from ihomology.cap import (cap_bookkeeping_ok, check_chain_identity,
-                           check_local_cap_factorization, check_zero_top,
-                           classical_cap, classical_cap_local,
-                           classical_duality, classical_duality_induced,
-                           duality_map, duality_sign, gm_demo,
-                           intersection_cap, leibniz_holds,
-                           verify_factorization)
-from ihomology.filtered import (parse_complex, projective_space,
-                                simplex_sphere, suspension)
+from ihomology.cap import (check_zero_top, classical_duality,
+                           classical_duality_induced, duality_map,
+                           duality_sign, verify_factorization)
+from ihomology.checks import (cap_bookkeeping_ok, check_chain_identity,
+                              check_local_cap_factorization, classical_cap,
+                              classical_cap_local, gm_demo,
+                              intersection_cap, leibniz_holds)
+from ihomology.filtered import parse_complex
 from ihomology.intersection import (PerverseSubcomplex, comparison_map,
                                     perverse_complex)
 from ihomology.matrices import Matrix
 from ihomology.perversity import clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
+from ihomology.spaces import projective_space, simplex_sphere, suspension
 
 
 def test_classical_cap_local():
@@ -481,7 +482,7 @@ def test_local_cap_factorization_catches_a_flipped_sign(monkeypatch, s4):
             return res
         return -res[0], res[1]
 
-    monkeypatch.setattr(cap, "blown_cap", flipped)
+    monkeypatch.setattr(blowup, "blown_cap", flipped)
     with pytest.raises(AssertionError, match="local cap factorization fails"):
         check_local_cap_factorization(s4)
 

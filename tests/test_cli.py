@@ -131,7 +131,7 @@ def test_single_degree_is_its_line_of_every_degree(monkeypatch, capsys,
                                                    command, coeffs):
     # every degree at once decides each cycle basis on the pivot rows of
     # the one below; one degree alone, from a fresh space, uses every row
-    from ihomology.filtered import projective_space, suspension
+    from ihomology.spaces import projective_space, suspension
     monkeypatch.setattr("ihomology.cli.builtin",
                         lambda name: suspension(projective_space(4)))
     argv = command + ["--builtin", "sigma-rp3", "--coeffs", coeffs]
@@ -189,6 +189,18 @@ def test_demo_output(capsys):
         "the trivial degree-3 group",
         "PASS",
     ]
+
+
+@pytest.mark.parametrize("coeffs, name", [("Q", "Q"), ("Zmod:2", "Z/2"),
+                                           ("Zmod:3", "Z/3")])
+def test_demo_refuses_every_ring_but_the_integers(capsys, coeffs, name):
+    # the obstruction is that an integral group vanishes; over a field
+    # the groups differ, and comparing them with Z's would print FAIL
+    code, out, err = run_cli(capsys, "demo", "sigma-rp3", "--coeffs", coeffs)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the degree-3 obstruction is an integral "
+                   f"statement; demo needs coefficients Z, not {name}\n")
 
 
 def test_input_file(tmp_path, capsys):
@@ -302,7 +314,7 @@ def test_oversized_builtin_is_refused_before_building(monkeypatch, capsys):
     def never(n):
         raise AssertionError("the oversized sphere was built")
 
-    monkeypatch.setattr("ihomology.filtered.simplex_sphere", never)
+    monkeypatch.setattr("ihomology.spaces.simplex_sphere", never)
     code, out, err = run_cli(capsys, "homology", "--builtin", "s40")
     assert code == 2
     assert out == ""

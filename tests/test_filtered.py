@@ -3,12 +3,12 @@ from itertools import combinations
 import pytest
 
 from ihomology.filtered import (FilteredComplex, NonOrientableError,
-                                antipodal_quotient, barycentric_subdivision,
-                                builtin, builtin_size, cone,
-                                cross_polytope_antipode,
-                                cross_polytope_boundary, parse_complex,
-                                projective_space, simplex_sphere, suspension)
+                                builtin, builtin_size, parse_complex)
 from ihomology.rings import QQ, ZZ, Zmod
+from ihomology.spaces import (antipodal_quotient, barycentric_subdivision,
+                              cone, cross_polytope_antipode,
+                              cross_polytope_boundary, projective_space,
+                              simplex_sphere, suspension)
 
 
 def test_sphere_f_vectors():
@@ -76,7 +76,7 @@ def test_circle_from_square_quotient():
     sq = cross_polytope_boundary(2)
     pairing = cross_polytope_antipode(2)
     sd = barycentric_subdivision(sq)
-    from ihomology.filtered import lift_involution
+    from ihomology.spaces import lift_involution
     circle = antipodal_quotient(sd, lift_involution(sq, pairing, sd))
     assert circle.f_vector() == (4, 4)
     assert circle.euler_characteristic() == 0
@@ -98,7 +98,7 @@ def test_rp2_homology():
     oct_ = cross_polytope_boundary(3)
     pairing = cross_polytope_antipode(3)
     sd1 = barycentric_subdivision(oct_)
-    from ihomology.filtered import lift_involution
+    from ihomology.spaces import lift_involution
     p1 = lift_involution(oct_, pairing, sd1)
     sd2 = barycentric_subdivision(sd1)
     p2 = lift_involution(sd1, p1, sd2)

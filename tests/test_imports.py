@@ -11,13 +11,14 @@ name, an attribute or an imported name, somewhere in the package.  Dead
 public code: every public module-level function or class must be
 referenced in the same ways, or as a tracer target string such as
 "snf:hermite_solve", somewhere in the package, its tests or the
-benchmark harness.  Imports sit at module level only: cli binds the
-layers a command may need as modules run on first use, so no function
-has to import one.
+benchmark harness.  Imports sit at module level only: the package's
+_on_first_use binds the layers a module may need as modules run on
+first use (cli's duality layers, cap's blowup, filtered's spaces), so
+no function has to import one.
 
 Fresh interpreters check the loading itself: importing the package
 runs no layer, every name of its __all__ resolves to the object in its
-home module, and homology runs no perversity, blowup or cap layer.
+home module, and each command runs exactly the layers it needs.
 """
 
 import ast
@@ -29,6 +30,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ihomology.filtered import builtin
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ihomology"
@@ -209,8 +212,8 @@ def fresh(code, *argv):
     return json.loads(r.stdout.splitlines()[-1])
 
 
-# the package modules that have run: one that cli put in sys.modules to
-# run on first use keeps a subclass of ModuleType until then
+# the package modules that have run: one that _on_first_use put in
+# sys.modules keeps a subclass of ModuleType until it runs
 LOADED = ("sorted(m for m, mod in sys.modules.items() "
           "if m.startswith('ihomology') and type(mod) is types.ModuleType)")
 
@@ -281,3 +284,41 @@ def test_verify_factorization_loads_the_duality_layers():
     status, loaded = fresh(RUN, "verify", "factorization", "--builtin", "s2")
     assert status == 0
     assert set(DUALITY_LAYERS) <= set(loaded)
+
+
+BASE_LAYERS = ["cli", "complexes", "filtered", "intersection", "matrices",
+               "rings", "snf"]
+
+
+def as_text(space):
+    """space in the text format of the --input files."""
+    names = space.vertex_names
+    return (f"dim {space.n}\n"
+            + "".join(f"vertex {v} stratum {s}\n"
+                      for v, s in zip(names, space.strata))
+            + "".join("facet " + " ".join(names[v] for v in f) + "\n"
+                      for f in space.facets))
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["homology"], []),
+    (["verify", "zero-top"], ["cap", "perversity"]),
+    (["verify", "factorization"], ["blowup", "cap", "perversity"]),
+], ids=["homology", "zero-top", "factorization"])
+def test_an_input_job_runs_exactly_its_layers(tmp_path, command, extra):
+    # no builtin construction runs on a file, and zero-top, which needs
+    # only the classical cap, never compiles the blown-up layer
+    path = tmp_path / "s2.txt"
+    path.write_text(as_text(builtin("s2")))
+    status, loaded = fresh(RUN, *command, "--input", str(path))
+    assert status == 0
+    assert loaded == sorted(["ihomology"] + [f"ihomology.{m}" for m in
+                                             BASE_LAYERS + extra])
+
+
+def test_demo_runs_the_checks_and_constructions_but_no_blowup():
+    status, loaded = fresh(RUN, "demo", "sigma-rp3")
+    assert status == 0
+    assert loaded == sorted(["ihomology"] + [
+        f"ihomology.{m}" for m in
+        BASE_LAYERS + ["cap", "checks", "perversity", "spaces"]])

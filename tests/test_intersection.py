@@ -7,8 +7,7 @@ import pytest
 from ihomology import cli, filtered, snf
 from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.complexes import homology_of
-from ihomology.filtered import (barycentric_subdivision, builtin, cone,
-                                projective_space, simplex_sphere, suspension)
+from ihomology.filtered import builtin
 from ihomology.intersection import (allowable_indices, chain_memo,
                                     cochain_complex, cohomology,
                                     comparison_map, gm_cohomology,
@@ -18,6 +17,8 @@ from ihomology.matrices import Matrix
 from ihomology.perversity import Perversity, clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 from ihomology.snf import hermite_column_form, kernel
+from ihomology.spaces import (barycentric_subdivision, cone, projective_space,
+                              simplex_sphere, suspension)
 
 
 def test_allowability_on_suspension(sigma_rp3):
