@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import _on_first_use
-from .filtered import NonOrientableError, builtin, load_complex
+from .filtered import builtin, load_complex
 from .intersection import gm_cohomology, intersection_homology
 from .rings import ring_by_name
 
@@ -177,7 +177,7 @@ def main(argv=None):
         return e.code
     try:
         return run(args, sys.stdout)
-    except (ValueError, OSError, NonOrientableError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

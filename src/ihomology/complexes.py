@@ -90,29 +90,27 @@ class HomologyGroup:
     then, if it has one.
     """
 
-    def __init__(self, ring, ambient_dim, orders, reps, coord_fn,
-                 cycles=None):
+    def __init__(self, ring, orders, reps, coord_fn, cycles=None):
         self.ring = ring
-        self.ambient_dim = ambient_dim
         self._orders = orders
         self._parts = reps, coord_fn, cycles
         self._build = self._rule = None
 
     @classmethod
-    def lazy(cls, ring, ambient_dim, build, rule=None):
+    def lazy(cls, ring, build, rule=None):
         """The group that build() returns, built on first use; rule()
         gives its orders until then, or None when only the build can."""
-        H = cls(ring, ambient_dim, None, None, None)
+        H = cls(ring, None, None, None)
         H._parts, H._build, H._rule = None, build, rule
         return H
 
     @classmethod
-    def trivial(cls, ring, ambient_dim=0):
+    def trivial(cls, ring):
         def coord_fn(v):
             if v:
                 raise ValueError("not a cycle")
             return ()
-        return cls(ring, ambient_dim, [], [], coord_fn)
+        return cls(ring, [], [], coord_fn)
 
     @property
     def built(self):
@@ -178,7 +176,7 @@ class HomologyGroup:
         parts = []
         r = self.free_rank
         if r == 1:
-            parts.append("Z" if free_name == "Z" else free_name)
+            parts.append(free_name)
         elif r > 1:
             parts.append(f"{free_name}^{r}")
         for d in self.torsion:
@@ -189,7 +187,7 @@ class HomologyGroup:
         return f"<HomologyGroup {self} over {self.ring.name}>"
 
 
-def group_from_cycles(ring, ambient_dim, Zb, B):
+def group_from_cycles(ring, Zb, B):
     """Homology of span(Zb columns) / span(B columns), for B inside
     span(Zb).
 
@@ -214,7 +212,7 @@ def group_from_cycles(ring, ambient_dim, Zb, B):
         raise ValueError("boundary columns do not lie in the cycle span")
     z = Zb.ncols
     if z == 0:
-        return HomologyGroup.trivial(ring, ambient_dim)
+        return HomologyGroup.trivial(ring)
     free = 0
     if isinstance(ring, ZmodRing) and not ring.is_field:
         Y = Y.hstack(kernel(Zb))
@@ -251,7 +249,7 @@ def group_from_cycles(ring, ambient_dim, Zb, B):
         return tuple(t.get(i, ring.zero) % d if d else t.get(i, ring.zero)
                      for i, d in zip(keep, orders))
 
-    return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn, Zb)
+    return HomologyGroup(ring, orders, reps, coord_fn, Zb)
 
 
 def cycle_matrix(D, below=None):
@@ -385,8 +383,7 @@ def shared_group(memo, k, allowable, step, D, boundaries):
                     + [0] * (len(cols) - len(out) - len(f)))
         composite = isinstance(ring, ZmodRing) and not ring.is_field
         H = memo[key] = HomologyGroup.lazy(
-            ring, D.ncols, lambda: group_from_cycles(
-                ring, D.ncols, cycles(), boundaries()),
+            ring, lambda: group_from_cycles(ring, cycles(), boundaries()),
             None if composite else rule)
     return H
 

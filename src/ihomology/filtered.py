@@ -7,7 +7,7 @@ order, so every simplex, kept as a sorted tuple of vertex indices,
 splits into contiguous stratum runs: its join decomposition.
 
 The module also hosts validation of the pseudomanifold conditions,
-orientation propagation for the fundamental class, the text input
+the fundamental class (the sum of the top-cycle basis), the text input
 format used by the CLI, and the builtin space registry, which binds
 the constructions it names (spaces) on first use.
 """
@@ -23,11 +23,7 @@ spaces = _on_first_use("spaces")
 
 
 class NonOrientableError(ValueError):
-    """Raised when orientation propagation hits an inconsistent cycle."""
-
-    def __init__(self, message, cycle):
-        super().__init__(message)
-        self.cycle = cycle
+    """Raised when a top simplex has no unit coefficient in any top cycle."""
 
 
 class JoinDecomposition:
@@ -287,76 +283,38 @@ class FilteredComplex:
     # --- orientation ---
 
     def fundamental_class(self, ring):
-        """Signed sum of the top simplices, as a sparse vector over ring.
+        """The sum of the canonical basis of the top cycles,
+        homology(n, ring).cycles, as a sparse vector over ring in
+        ascending index order.
 
-        Orientation is propagated across shared walls; the sign of a top
-        simplex is understood relative to its sorted vertex list.  Raises
-        NonOrientableError with a witness cycle if propagation conflicts
-        (impossible in characteristic 2).
+        That basis has one cycle per component of top simplices joined
+        across walls, +1 on its first top simplex (snf.kernel); signs are
+        relative to sorted vertex lists.  Raises NonOrientableError
+        naming a top simplex with no unit coefficient, as on a
+        non-orientable component unless 2 is zero in ring.
         """
-        key = ("fundamental", ring.name)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return dict(cached)
         tops = self.simplices(self.n)
         if not tops:
             raise ValueError("no top-dimensional simplices")
-        walls = self._wall_cofacets()
-        for wall, cofaces in walls.items():
+        for wall, cofaces in self._wall_cofacets().items():
             if len(cofaces) != 2:
                 raise ValueError(
                     f"wall {self.simplex_names(wall)} has {len(cofaces)} cofacets; "
                     "not a closed pseudomanifold")
-
-        two_is_zero = ring.is_zero(ring.el(2))
-        orient = {}
-        parent = {}
-        idx = {s: i for i, s in enumerate(tops)}
-        for seed in tops:
-            if seed in orient:
-                continue
-            orient[seed] = 1
-            parent[seed] = None
-            queue = [seed]
-            qi = 0
-            while qi < len(queue):
-                cur = queue[qi]
-                qi += 1
-                for i in range(len(cur)):
-                    wall = cur[:i] + cur[i + 1:]
-                    for nb in walls[wall]:
-                        if nb == cur:
-                            continue
-                        j = nb.index(*(set(nb) - set(wall)))
-                        want = -orient[cur] * (-1) ** i * (-1) ** j
-                        if nb not in orient:
-                            orient[nb] = want
-                            parent[nb] = cur
-                            queue.append(nb)
-                        elif orient[nb] != want and not two_is_zero:
-                            cycle = self._witness_cycle(parent, cur, nb)
-                            raise NonOrientableError(
-                                "not orientable over " + ring.name, cycle)
-        chain = {idx[s]: ring.el(v) for s, v in orient.items()}
-        bd = self.boundary_matrix(self.n, ring)
-        if bd @ chain:
+        Z = self.homology(self.n, ring).cycles
+        total = {} if Z is None else Z @ {j: ring.one
+                                          for j in range(Z.ncols)}
+        chain = {}
+        for i, s in enumerate(tops):
+            chain[i] = total.get(i, ring.zero)
+            if not ring.is_unit(chain[i]):
+                raise NonOrientableError(
+                    f"not orientable over {ring.name}: top simplex "
+                    f"{self.simplex_names(s)} has no unit coefficient in "
+                    "any top cycle")
+        if self.boundary_matrix(self.n, ring) @ chain:
             raise AssertionError("fundamental chain is not a cycle")
-        self.cache[key] = dict(chain)
         return chain
-
-    def _witness_cycle(self, parent, a, b):
-        path_a = [a]
-        while parent[path_a[-1]] is not None:
-            path_a.append(parent[path_a[-1]])
-        path_b = [b]
-        while parent[path_b[-1]] is not None:
-            path_b.append(parent[path_b[-1]])
-        seen = {s: i for i, s in enumerate(path_a)}
-        for i, s in enumerate(path_b):
-            if s in seen:
-                cycle = path_a[:seen[s] + 1] + path_b[:i][::-1]
-                return [self.simplex_names(t) for t in cycle]
-        return [self.simplex_names(t) for t in path_a + path_b]
 
     def __repr__(self):
         label = self.name or "FilteredComplex"

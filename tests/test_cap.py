@@ -243,7 +243,8 @@ def test_verify_factorization(s4, sigma_rp3):
 
 def test_factorization_witness_prints_rationals_as_fractions(monkeypatch):
     # a doubled classical cap splits every class; over Q the witness
-    # shows its entries as Fractions even when they are integral
+    # shows its entries as Fractions even when they are integral, in
+    # ascending index order
     real = cap._classical_caps
 
     def doubled(space, ring):
@@ -255,7 +256,7 @@ def test_factorization_witness_prints_rationals_as_fractions(monkeypatch):
     assert not report.ok
     assert [line for line in report.lines if "witness" in line] == [
         "degree 0: classes split, witness "
-        "{0: Fraction(2, 1), 2: Fraction(2, 1), 1: Fraction(-2, 1)}",
+        "{0: Fraction(2, 1), 1: Fraction(-2, 1), 2: Fraction(2, 1)}",
         "degree 1: classes split, witness {2: Fraction(2, 1)}",
     ]
 

@@ -255,6 +255,40 @@ def test_verify_zero_top_refuses_non_normal_input(tmp_path, capsys, wedge_text):
         assert out.endswith("\nPASS\n")
 
 
+def test_verify_refuses_a_non_orientable_input(tmp_path, capsys):
+    # RP^2 has no top cycle over Z or Z/3, so both drivers refuse it and
+    # name its first top simplex; over Z/2 it has a fundamental class
+    from ihomology.spaces import projective_space
+    rp2 = projective_space(3, subdivisions=2)
+    names = rp2.vertex_names
+    path = tmp_path / "rp2.txt"
+    path.write_text(
+        "dim 2\n"
+        + "".join(f"vertex {v} stratum 2\n" for v in names)
+        + "".join("facet " + " ".join(names[v] for v in f) + "\n"
+                  for f in rp2.facets))
+    first = ("('b{b{+e1}}', 'b{b{+e1},b{+e1,+e2}}', "
+             "'b{b{+e1},b{+e1,+e2},b{+e1,+e2,+e3}}')")
+    for ring, name in (("Z", "Z"), ("Zmod:3", "Z/3")):
+        for what in ("zero-top", "factorization"):
+            code, out, err = run_cli(capsys, "verify", what, "--input",
+                                     str(path), "--coeffs", ring)
+            assert code == 2, (what, ring)
+            assert out == ""
+            assert err == (f"error: not orientable over {name}: top simplex "
+                           f"{first} has no unit coefficient in any top "
+                           "cycle\n")
+    code, out, _ = run_cli(capsys, "verify", "factorization", "--input",
+                           str(path), "--coeffs", "Zmod:2")
+    assert code == 0
+    assert out == (
+        "square commutes on 3 generators\n"
+        + "".join(f"{p}: duality isomorphism in every degree; capped "
+                  "generators inside the perverse complex\n"
+                  for p in ("zero", "clip:1", "top"))
+        + "PASS\n")
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(space, ring):
         raise AssertionError("differential left the perverse subcomplex")

@@ -214,7 +214,7 @@ def test_negative_degrees_as_cochains():
     assert str(C.homology(-1)) == "Z/2"
 
 
-def smith_group_from_cycles(ring, ambient_dim, Zb, B):
+def smith_group_from_cycles(ring, Zb, B):
     """group_from_cycles through the Smith form of all of Y, with U and
     Uinv tracked over every row: the reference for the unit-pivot
     sweep and the Smith form of its residual."""
@@ -223,7 +223,7 @@ def smith_group_from_cycles(ring, ambient_dim, Zb, B):
         raise ValueError("boundary columns do not lie in the cycle span")
     z = Zb.ncols
     if z == 0:
-        return HomologyGroup.trivial(ring, ambient_dim)
+        return HomologyGroup.trivial(ring)
     free = 0
     if isinstance(ring, ZmodRing) and not ring.is_field:
         Y = Y.hstack(kernel(Zb))
@@ -249,12 +249,12 @@ def smith_group_from_cycles(ring, ambient_dim, Zb, B):
         return tuple(t.get(i, ring.zero) % d if d else t.get(i, ring.zero)
                      for i, d in zip(keep, orders))
 
-    return HomologyGroup(ring, ambient_dim, orders, reps, coord_fn, Zb)
+    return HomologyGroup(ring, orders, reps, coord_fn, Zb)
 
 
 def check_against_smith_reference(rng, Zb, B, H):
     R = Zb.ring
-    ref = smith_group_from_cycles(R, Zb.nrows, Zb, B)
+    ref = smith_group_from_cycles(R, Zb, B)
     assert H.orders == ref.orders
     n = len(H.orders)
     for i, rep in enumerate(H.reps):
@@ -286,8 +286,8 @@ def record_groups(monkeypatch):
     """Record (Zb, B, group) for every group_from_cycles call."""
     seen = []
 
-    def recording(ring, ambient_dim, Zb, B):
-        H = group_from_cycles(ring, ambient_dim, Zb, B)
+    def recording(ring, Zb, B):
+        H = group_from_cycles(ring, Zb, B)
         if Zb.ncols:
             seen.append((Zb, B, H))
         return H
@@ -341,9 +341,9 @@ def test_rule_orders_equal_the_built_orders(space, coeffs, monkeypatch,
     twins = []
     real = HomologyGroup.lazy.__func__
 
-    def lazy(cls, ring, ambient_dim, build, rule=None):
-        twins.append(real(cls, ring, ambient_dim, build, rule))
-        H = real(cls, ring, ambient_dim, build, rule)
+    def lazy(cls, ring, build, rule=None):
+        twins.append(real(cls, ring, build, rule))
+        H = real(cls, ring, build, rule)
         twins[-1].group = H
         return H
     monkeypatch.setattr(HomologyGroup, "lazy", classmethod(lazy))
@@ -411,8 +411,8 @@ def test_random_groups_match_the_smith_form_of_all_of_y(R):
                                   for _ in range(k)]
                                  for _ in range(Zb.ncols)], ncols=k)
         B = Zb @ X
-        check_against_smith_reference(rng, Zb, B, group_from_cycles(
-            R, nc, Zb, B))
+        check_against_smith_reference(rng, Zb, B,
+                                      group_from_cycles(R, Zb, B))
 
 
 def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):

@@ -112,8 +112,16 @@ def test_rp2_homology():
     assert rp2.homology(2, ZZ).is_trivial()
     # characteristic 2 sees the top class
     assert rp2.homology(2, Zmod(2)).iso_type() == (1, ())
-    with pytest.raises(NonOrientableError):
-        rp2.fundamental_class(ZZ)
+    # over Z/4 the top cycles are 2w, with no unit coefficient
+    Z4 = rp2.homology(2, Zmod(4)).cycles
+    assert Z4.ncols == 1 and set(Z4.columns()[0].values()) == {2}
+    first = rp2.simplex_names(rp2.simplices(2)[0])
+    for R in (ZZ, QQ, Zmod(3), Zmod(4)):
+        with pytest.raises(NonOrientableError) as refused:
+            rp2.fundamental_class(R)
+        assert str(refused.value) == (
+            f"not orientable over {R.name}: top simplex {first} has no "
+            "unit coefficient in any top cycle")
     z = rp2.fundamental_class(Zmod(2))
     assert sorted(z) == list(range(144))
 
@@ -167,6 +175,26 @@ def test_fundamental_class_of_sphere():
         signs[s3.index_of(face)] = (-1) ** i
     flip = z[s3.index_of((1, 2, 3, 4))] * signs[s3.index_of((1, 2, 3, 4))]
     assert z == {j: flip * v for j, v in signs.items()}
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(3)], ids=str)
+def test_fundamental_class_of_two_disjoint_spheres(R):
+    # two boundaries of a solid 3-simplex, on vertices 0-3 and 4-7: one
+    # top cycle per component, each the alternating-sign boundary of its
+    # simplex, signed to be +1 on the component's first top simplex
+    K = FilteredComplex(2, [str(v) for v in range(8)], [2] * 8,
+                        [f for v in (0, 4) for f in combinations(
+                            range(v, v + 4), 3)])
+    z = K.fundamental_class(R)
+    expected = {}
+    for v in (0, 4):
+        verts = list(range(v, v + 4))
+        signs = {K.index_of(tuple(verts[:i] + verts[i + 1:])): (-1) ** i
+                 for i in range(4)}
+        flip = signs[min(signs)]
+        expected.update({j: R.el(flip * e) for j, e in signs.items()})
+    assert z == expected
+    assert list(z) == sorted(z)
 
 
 def test_suspension_strata_layout():

@@ -6,8 +6,9 @@ import pytest
 
 from ihomology import cli, filtered, snf
 from ihomology.blowup import blowup_complex, tw_complex
+from ihomology.cap import _build_ascending
 from ihomology.complexes import homology_of
-from ihomology.filtered import builtin
+from ihomology.filtered import FilteredComplex, builtin
 from ihomology.intersection import (allowable_indices, chain_memo,
                                     cochain_complex, cohomology,
                                     comparison_map, gm_cohomology,
@@ -475,6 +476,38 @@ def count_calls(patch_snf, names):
             return real(*args)
         patch_snf(name, counting)
     return calls
+
+
+def test_the_fundamental_class_needs_no_kernel_after_the_ascending_build(
+        monkeypatch, patch_snf, capsys):
+    # the class is the cycle basis of H_4: after _build_ascending it is
+    # read, not eliminated, and both drivers read it only then; built
+    # before, it costs one kernel on every row of d_4
+    calls = count_calls(patch_snf, ["kernel"])
+    X = fresh_sigma_rp3()
+    X.fundamental_class(ZZ)
+    assert calls["kernel"] == 1
+    X = fresh_sigma_rp3()
+    _build_ascending(X, ZZ)
+    calls["kernel"] = 0
+    X.fundamental_class(ZZ)
+    assert calls["kernel"] == 0
+    inside = []
+    real = FilteredComplex.fundamental_class
+
+    def counted(self, ring):
+        before = calls["kernel"]
+        fc = real(self, ring)
+        inside.append(calls["kernel"] - before)
+        return fc
+    monkeypatch.setattr(FilteredComplex, "fundamental_class", counted)
+    monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
+    # over Z the zero-top criteria fail on sigma-rp3, with exit 1
+    for what, status in (("factorization", 0), ("zero-top", 1)):
+        inside.clear()
+        assert cli.main(["verify", what, "--builtin", "sigma-rp3"]) == status
+        assert inside and set(inside) == {0}, what
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("coeffs", ["Z", "Q"])
