@@ -7,6 +7,9 @@ requested degree prints the bare group.  Exit status: 0 on success or a
 verified report, 1 on a verification failure, 2 on invalid input, 3 on
 a broken internal invariant.  The layers only some commands run are
 bound on first use, so a command compiles only the layers it runs.
+Each printed row (a table row, or all of a group list) has its groups
+made before any is read, so that their invariant-factor sweeps run
+from the top degree down (complexes.shared_group).
 """
 
 import argparse
@@ -150,22 +153,23 @@ def run(args, out):
     degrees = _degree_list(getattr(args, "degree", None), n)
 
     if cmd == "table":
-        pervs = perversity.gm_lattice(n)
         head = ["perversity"] + [str(k) for k in degrees]
-        body = [[str(p)] + [str(intersection_homology(space, p, ring, k))
-                            for k in degrees]
-                for p in pervs]
+        body = []
+        for p in perversity.gm_lattice(n):
+            row = [intersection_homology(space, p, ring, k) for k in degrees]
+            body.append([str(p)] + [str(H) for H in row])
         _emit_table(head, body, args.format, out)
         return 0
 
     if cmd == "homology":
-        rows = [(k, str(space.homology(k, ring))) for k in degrees]
+        groups = [space.homology(k, ring) for k in degrees]
     else:
         p = perversity.parse_perversity(args.perversity, n)
         fn = blowup.tw_cohomology if cmd == "tw" else \
             {"ih": intersection_homology, "gm": gm_cohomology}[cmd]
-        rows = [(k, str(fn(space, p, ring, k))) for k in degrees]
-    _emit_groups(rows, args.format, out)
+        groups = [fn(space, p, ring, k) for k in degrees]
+    _emit_groups([(k, str(H)) for k, H in zip(degrees, groups)],
+                 args.format, out)
     return 0
 
 

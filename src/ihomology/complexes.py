@@ -39,7 +39,8 @@ elements of degree k a (co)chain may use.  The keys (memo_key) are
 - ("factors", k, cols, good): the invariant factors of D on the basis
   ("basis", k, cols, good), which is D[:, cols] when good holds every
   row, so one boundary matrix, swept once, gives the rank out of one
-  degree and the torsion of the next;
+  degree and the torsion of the next; beside them, the rows where its
+  sweep put unit pivots, which clear the sweep of the next matrix;
 - ("everything", n): the one tuple that allows all n elements.
 
 An empty set is None.  A HomologyGroup is never changed once built, so
@@ -48,6 +49,15 @@ perversities of a space and ring share one memo (intersection.py,
 blowup.py), and simplicial homology is the group that allows every
 simplex.  A PresentedComplex keeps a memo in which every set allows
 everything, and homology_of a throwaway one.
+
+The rule sweeps the boundaries B into a degree before the differential
+D out of it, skipping D's columns at B's unit pivots: D sends to zero
+the combination of B's columns that ends there in a 1, so that column
+is a combination of earlier ones (clearing; Chen & Kerber 2011).  When
+everything is allowed, the D of degree k - step is that B, so the rule
+settles that group first: a reader that makes its groups before
+reading any (cli) gets every sweep cleared by the one before it, as
+cochains read upward already do.
 
 A cycle basis is eliminated only on the rows that can be independent
 (cycle_matrix).  The group of degree k + step that allows everything
@@ -329,15 +339,17 @@ def shared_basis(memo, key, D):
     return B
 
 
-def shared_factors(memo, key, matrix):
-    """The invariant factors under key = ("factors", k, cols, good) in
-    memo, those of the matrix matrix() returns, swept on its columns
-    (the rows of its transpose), which fill in less on boundary
-    matrices."""
+def shared_factors(memo, key, matrix, skip=()):
+    """The entry under key = ("factors", k, cols, good) in memo: the
+    invariant factors of the matrix matrix() returns, swept on its
+    columns (the rows of its transpose), which fill in less on boundary
+    matrices, and the rows of its unit pivots.  The columns in the set
+    skip, combinations of earlier ones, are not swept."""
     f = memo.get(key)
     if f is None:
         M = matrix()
-        f = memo[key] = invariant_factors(M.transpose()) if M.rows else []
+        f = memo[key] = (invariant_factors(M.transpose(), skip) if M.rows
+                         else ([], set()))
     return f
 
 
@@ -354,7 +366,8 @@ def shared_group(memo, k, allowable, step, D, boundaries):
     with a nonzero multiple among them is among them), so the boundaries
     B have the same invariant factors in them as in the chains.  B must
     lie on allowable(k) with D @ B == 0, else reading the orders raises
-    ValueError as group_from_cycles does.
+    ValueError as group_from_cycles does.  That check must stay exact,
+    as it is also what makes the clearing sound.
     """
     key = memo_key("group", k, allowable, k - step)
     H = memo.get(key)
@@ -368,17 +381,24 @@ def shared_group(memo, k, allowable, step, D, boundaries):
                                 cycle_matrix(D, below))
 
         def rule():
+            above = memo.get(memo_key("group", k - step, allowable,
+                                      k - 2 * step))
+            if above is not None:
+                above.orders  # its rule sweeps B, cleared from above
             B = boundaries()
             if not set(cols).issuperset(B.rows) or not (D @ B).is_zero():
                 raise ValueError(
                     "boundary columns do not lie in the cycle span")
-            f = shared_factors(
+            f, cleared = shared_factors(
                 memo, ("factors", k - step, key[3] or (), cols or None),
                 lambda: B)
-            out = shared_factors(
+            if len(cols) < D.ncols:
+                at = {c: i for i, c in enumerate(cols)}
+                cleared = {at[c] for c in cleared}
+            out, _ = shared_factors(
                 memo, ("factors", k, cols, rows or None),
                 lambda: D if len(cols) == D.ncols
-                else D.submatrix(rows, cols))
+                else D.submatrix(rows, cols), cleared)
             return ([d for d in f if not ring.is_unit(d)]
                     + [0] * (len(cols) - len(out) - len(f)))
         composite = isinstance(ring, ZmodRing) and not ring.is_field
@@ -397,9 +417,9 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    memo, dims = {}, (bd_out.ncols, bd_in.ncols)
-    return shared_group(memo, 0, lambda j: everything(memo, dims[j]), -1,
-                        bd_out, lambda: bd_in)
+    memo, dims = {}, {0: bd_out.ncols, 1: bd_in.ncols}
+    return shared_group(memo, 0, lambda j: everything(memo, dims.get(j, 0)),
+                        -1, bd_out, lambda: bd_in)
 
 
 class PresentedComplex:
@@ -522,7 +542,7 @@ class InducedMap:
         cols = [{i: ring.el(c) for i, c in enumerate(coords) if c != 0}
                 for coords in self.image_coords]
         cols += [{i: ring.el(o)} for i, o in enumerate(tgt.orders) if o]
-        inv = invariant_factors(Matrix.from_columns(ring, n, cols))
+        inv, _ = invariant_factors(Matrix.from_columns(ring, n, cols))
         return len(inv) == n and all(ring.is_unit(d) for d in inv)
 
     def is_isomorphism(self):

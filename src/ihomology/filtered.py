@@ -218,6 +218,14 @@ class FilteredComplex:
                 break
         report.add("purity", uncovered is None, uncovered)
 
+        # X_{n-l} has dimension at most n - l for l >= 2; every simplex
+        # is a face of a facet, so its part in X_i lies in the facet's
+        witness = next((self.simplex_names(f[:d + 1]) for f in self.facets
+                        for i in range(self.n - 1)
+                        for d in [self.filtration_dim(f, i)]
+                        if d is not None and d > i), None)
+        report.add("singular_dimension", witness is None, witness)
+
         ok, witness = True, None
         walls = self._wall_cofacets()
         for wall in self.simplices(self.n - 1):

@@ -10,12 +10,14 @@ Kernels, homology groups and invariant_factors first run one
 unit-pivot sweep (unit_pivots; Dumas, Heckenbach, Saunders & Welker
 2003): kernel and invariant_factors on the rows of M,
 complexes.group_from_cycles mirrored on the columns of its boundary
-coordinates.  Only the small residual the sweep sets aside goes on, to
-integer_kernel or to smith_normal_form, so the eliminator is a plain
-Smith form (Kannan & Bachem 1979).  Its pivot is the smallest entry (a
-unit needs no Bezout step), then the smallest Markowitz cost
-(r - 1)(c - 1) of its row and column counts, then the first (row,
-column), so results are deterministic.
+coordinates; invariant_factors skips given rows and reports its pivots,
+for the clearing of complexes.shared_group.  Only the small residual
+the sweep sets aside goes on, to integer_kernel or to
+smith_normal_form, so the eliminator is a plain Smith form (Kannan &
+Bachem 1979).  Its pivot is the smallest entry (a unit needs no Bezout
+step), then the smallest Markowitz cost (r - 1)(c - 1) of its row and
+column counts, then the first (row, column), so results are
+deterministic.
 
 Bases of column spans are kept in one canonical echelon form
 (hermite_column_form): the column Hermite form over Z, the reduced
@@ -271,17 +273,23 @@ def smith_normal_form(M, transforms=True):
     return work.result()
 
 
-def invariant_factors(M):
-    """Nonzero diagonal of the Smith form of M, in divisibility order.
+def invariant_factors(M, skip=()):
+    """(factors, pivots): the nonzero diagonal of the Smith form of M, in
+    divisibility order, and the set of columns of M at which its sweep
+    put a unit pivot.
 
     unit_pivots on M's rows is an equivalence of M with diag(I, A), A
     the rows it sets aside, so the factors are a 1 for each pivot, then
-    those of A's Smith form, taken with no transforms.
+    those of A's Smith form, taken with no transforms.  The rows in the
+    set skip are not swept: the caller vouches that each is a
+    combination of the rows before it, so the factors stay those of M.
     """
     R = M.ring
-    pivots, aside = unit_pivots(R, (dict(M.rows[i]) for i in sorted(M.rows)))
+    pivots, aside = unit_pivots(R, (dict(M.rows[i]) for i in sorted(M.rows)
+                                    if i not in skip))
     A = Matrix(R, len(aside), M.ncols, {i: v for i, v in enumerate(aside) if v})
-    return [R.one] * len(pivots) + smith_normal_form(A, transforms=False).diag
+    return ([R.one] * len(pivots) + smith_normal_form(A, transforms=False).diag,
+            set(pivots))
 
 
 def solve_matrix(res, B):

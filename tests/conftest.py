@@ -20,6 +20,36 @@ def patch_snf(monkeypatch):
     return patch
 
 
+@pytest.fixture
+def count_calls(patch_snf):
+    """count_calls(names) counts the calls of each named snf function
+    (_axpy, the row operation, among them), wherever the package
+    imported it, in the dict it returns; the name "swept" counts the
+    vectors unit_pivots takes instead, over all its calls."""
+    def start(names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            if name == "swept":
+                real = snf.unit_pivots
+
+                def sweeping(R, vectors, real=real):
+                    def counted():
+                        for v in vectors:
+                            calls["swept"] += 1
+                            yield v
+                    return real(R, counted())
+                patch_snf("unit_pivots", sweeping)
+                continue
+            real = getattr(snf, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            patch_snf(name, counting)
+        return calls
+    return start
+
+
 @pytest.fixture(scope="session")
 def s4():
     return builtin("s4")

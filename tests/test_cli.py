@@ -238,6 +238,26 @@ def test_verify_refuses_invalid_input(tmp_path, capsys):
         assert err == "error: input fails the no_codim_one check, witness a\n"
 
 
+def test_verify_refuses_a_singular_stratum_of_too_high_dimension(
+        tmp_path, capsys, patch_snf):
+    # three tetrahedron boundaries sharing the edge p q at stratum 0: both
+    # verify commands refuse it on the singular_dimension check, before
+    # any group is built
+    path = tmp_path / "three_spheres.txt"
+    path.write_text(
+        "dim 2\nvertex p stratum 0\nvertex q stratum 0\n"
+        + "".join(f"vertex {v} stratum 2\n" for v in "abcdef")
+        + "".join(f"facet p q {a}\nfacet p q {b}\nfacet p {a} {b}\n"
+                  f"facet q {a} {b}\n" for a, b in ("ab", "cd", "ef")))
+    patch_snf("kernel", lambda *a: pytest.fail("a group was built"))
+    for what in ("zero-top", "factorization"):
+        code, out, err = run_cli(capsys, "verify", what, "--input", str(path))
+        assert code == 2, what
+        assert out == ""
+        assert err == ("error: input fails the singular_dimension check, "
+                       "witness ('p', 'q')\n")
+
+
 def test_verify_zero_top_refuses_non_normal_input(tmp_path, capsys, wedge_text):
     # the zero-top equivalence does not apply to a non-normal space, but
     # the factorization does

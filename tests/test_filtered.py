@@ -307,6 +307,24 @@ def test_two_cofaces_check():
     assert failed["two_cofaces"] == (("a", "b"), "3 cofacets")
 
 
+def test_singular_dimension_check():
+    # three tetrahedron boundaries sharing the edge p q, with p and q at
+    # stratum 0 of a 2-dimensional filtration: X_0 is that edge, of
+    # dimension 1 > 0, and the walls on it escape the two_cofaces check
+    K = FilteredComplex(2, list("pqabcdef"), [0, 0] + [2] * 6, [
+        f for a, b in ((2, 3), (4, 5), (6, 7))
+        for f in ((0, 1, a), (0, 1, b), (0, a, b), (1, a, b))])
+    report = K.validate()
+    failed = dict(report.failures())
+    assert failed["singular_dimension"] == ("p", "q")
+    assert "two_cofaces" not in failed
+    assert not report.valid
+    # an edge at stratum 1 of a 3-dimensional filtration is allowed
+    edge = FilteredComplex(3, list("pqabcd"), [1, 1] + [3] * 4, [
+        (0, 1, 2, 3), (0, 1, 3, 4), (0, 1, 4, 5), (0, 1, 2, 5)])
+    assert "singular_dimension" not in dict(edge.validate().failures())
+
+
 def test_parse_complex():
     text = """
     # an interval filtered by an endpoint

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from ihomology import cli, filtered, snf
+from ihomology import cli, filtered
 from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.cap import _build_ascending
 from ihomology.complexes import homology_of
@@ -464,26 +464,12 @@ def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, patch_snf,
     assert sum(rows) == 3818
 
 
-def count_calls(patch_snf, names):
-    """Count the calls of each named snf function, wherever the package
-    imported it."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(snf, name)
-
-        def counting(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-        patch_snf(name, counting)
-    return calls
-
-
 def test_the_fundamental_class_needs_no_kernel_after_the_ascending_build(
-        monkeypatch, patch_snf, capsys):
+        monkeypatch, count_calls, capsys):
     # the class is the cycle basis of H_4: after _build_ascending it is
     # read, not eliminated, and both drivers read it only then; built
     # before, it costs one kernel on every row of d_4
-    calls = count_calls(patch_snf, ["kernel"])
+    calls = count_calls(["kernel"])
     X = fresh_sigma_rp3()
     X.fundamental_class(ZZ)
     assert calls["kernel"] == 1
@@ -512,26 +498,54 @@ def test_the_fundamental_class_needs_no_kernel_after_the_ascending_build(
 
 @pytest.mark.parametrize("coeffs", ["Z", "Q"])
 def test_homology_needs_only_the_invariant_factors(coeffs, monkeypatch,
-                                                    patch_snf, capsys):
+                                                    count_calls, capsys):
     # the orders of every group come from the invariant factors of the
-    # four boundary matrices, each swept once: no cycle basis, no solve
-    calls = count_calls(patch_snf,
-                        ["kernel", "hermite_solve", "invariant_factors"])
+    # four boundary matrices, each swept once: no cycle basis, no solve.
+    # cli makes every group first, so the sweeps run from the top down
+    # and each skips the columns the sweep above cleared: 1274 of the
+    # 2504 columns are swept over Z (1273 over Q), with 1046 row
+    # operations (1051), against 5802 (5848) uncleared
+    calls = count_calls(["kernel", "hermite_solve", "invariant_factors",
+                         "swept", "_axpy"])
     monkeypatch.setattr(cli, "builtin", lambda name: fresh_sigma_rp3())
     assert cli.main(["homology", "--builtin", "sigma-rp3",
                      "--coeffs", coeffs]) == 0
     assert capsys.readouterr().out == (
         "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\n" if coeffs == "Z"
         else "0: Q\n1: 0\n2: 0\n3: 0\n4: Q\n")
-    assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4}
+    assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4,
+                     "swept": 1274 if coeffs == "Z" else 1273,
+                     "_axpy": 1046 if coeffs == "Z" else 1051}
+
+
+@pytest.mark.parametrize("argv, work", [
+    # one group pulls nothing: the sweep of d_1 alone
+    (["homology", "--builtin", "sigma-rp3", "--degree", "0"], (312, 543)),
+    # a composite ring has no rule and builds in ascending degree
+    (["homology", "--builtin", "sigma-rp3", "--coeffs", "Zmod:4"],
+     (6328, 27207)),
+    # the verify commands build their groups and never run the rule
+    (["verify", "factorization", "--builtin", "rp3"], (3785, 11281)),
+    (["verify", "zero-top", "--builtin", "rp3", "--coeffs", "Q"],
+     (2316, 6256)),
+], ids=["degree-0", "Z4", "factorization", "zero-top-Q"])
+def test_commands_without_clearing_keep_their_sweep_work(argv, work,
+                                                         monkeypatch,
+                                                         count_calls, capsys):
+    # the vectors swept and the row operations, over every sweep of the
+    # command, kernels and groups included, as before clearing
+    calls = count_calls(["swept", "_axpy"])
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (calls["swept"], calls["_axpy"]) == work
 
 
 @pytest.mark.parametrize("R", [ZZ, QQ], ids=str)
-def test_cochain_orders_need_only_the_invariant_factors(R, patch_snf):
+def test_cochain_orders_need_only_the_invariant_factors(R, count_calls):
     # each of the four coboundaries is swept once, for the rank out of
     # one degree and the torsion of the next, and each group is made once
-    calls = count_calls(patch_snf,
-                        ["kernel", "hermite_solve", "invariant_factors"])
+    calls = count_calls(["kernel", "hermite_solve", "invariant_factors"])
     C = cochain_complex(fresh_sigma_rp3(), R)
     orders = [C.homology(d).orders for d in range(-4, 1)]
     assert orders == ([[0], [2], [], [], [0]] if R is ZZ
@@ -541,12 +555,23 @@ def test_cochain_orders_need_only_the_invariant_factors(R, patch_snf):
 
 
 @pytest.mark.slow
-def test_homology_of_the_60k_model_builds_no_group(monkeypatch, patch_snf,
+def test_homology_of_the_60k_model_builds_no_group(monkeypatch, count_calls,
                                                    capsys):
-    calls = count_calls(patch_snf, ["kernel", "hermite_solve"])
+    calls = count_calls(["kernel", "hermite_solve"])
     monkeypatch.setattr(filtered, "_builtin_cache", {})
     assert cli.main(["homology", "--builtin", "susp:rp3-fine"]) == 0
     assert capsys.readouterr().out == "0: Z\n1: 0\n2: Z/2\n3: 0\n4: Z\n"
+    assert calls == {"kernel": 0, "hermite_solve": 0}
+
+
+@pytest.mark.slow
+def test_homology_of_the_181k_model(monkeypatch, count_calls, capsys):
+    # susp:susp:rp3-fine, 181,160 simplices in dimension 5
+    calls = count_calls(["kernel", "hermite_solve"])
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    assert cli.main(["homology", "--builtin", "susp:susp:rp3-fine"]) == 0
+    assert capsys.readouterr().out == (
+        "0: Z\n1: 0\n2: 0\n3: Z/2\n4: 0\n5: Z\n")
     assert calls == {"kernel": 0, "hermite_solve": 0}
 
 

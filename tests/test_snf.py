@@ -41,23 +41,23 @@ def test_smith_2x2():
 def test_smith_unimodular():
     # determinant -2, entry gcd 1: invariant factors 1, 2
     M = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
-    assert invariant_factors(M) == [1, 2]
+    assert invariant_factors(M)[0] == [1, 2]
 
 
 def test_smith_zero_and_identity():
     Z = Matrix.zeros(ZZ, 3, 2)
-    assert invariant_factors(Z) == []
-    assert invariant_factors(Matrix.identity(ZZ, 4)) == [1, 1, 1, 1]
+    assert invariant_factors(Z)[0] == []
+    assert invariant_factors(Matrix.identity(ZZ, 4))[0] == [1, 1, 1, 1]
 
 
 def test_smith_diag_canonical_sign():
     M = Matrix.from_rows(ZZ, [[-3, 0], [0, -5]])
-    assert invariant_factors(M) == [1, 15]
+    assert invariant_factors(M)[0] == [1, 15]
 
 
 def test_smith_rectangular():
     M = Matrix.from_rows(ZZ, [[2, 0, 0], [0, 3, 0]])
-    assert invariant_factors(M) == [1, 6]
+    assert invariant_factors(M)[0] == [1, 6]
 
 
 def sympy_factors(sympy, data):
@@ -74,7 +74,7 @@ def test_smith_against_sympy():
         nr = rng.randrange(1, 5)
         nc = rng.randrange(1, 5)
         data = [[rng.randrange(-6, 7) for _ in range(nc)] for _ in range(nr)]
-        ours = invariant_factors(Matrix.from_rows(ZZ, data))
+        ours, _ = invariant_factors(Matrix.from_rows(ZZ, data))
         assert ours == sympy_factors(sympy, data), data
 
 
@@ -98,7 +98,7 @@ def test_swept_smith_against_sympy(monkeypatch):
                 for _ in range(nr)]
         M = Matrix.from_rows(ZZ, data)
         want = sympy_factors(sympy, data)
-        assert invariant_factors(M) == want, data
+        assert invariant_factors(M)[0] == want, data
         assert smith_normal_form(M).diag == want, data
     assert sum(1 for p, a in swept if p and a) >= 10
 
@@ -659,7 +659,7 @@ def test_smith_form_is_canonical_and_matches_the_sweep(R, rp3):
         res = smith_normal_form(M, transforms=True)
         check_transforms(M, res)
         assert all(R.canonical_unit(d) == R.one for d in res.diag), M.to_lists()
-        assert invariant_factors(M) == smith_normal_form(M, transforms=False).diag == res.diag, \
+        assert invariant_factors(M)[0] == smith_normal_form(M, transforms=False).diag == res.diag, \
             M.to_lists()
 
 
