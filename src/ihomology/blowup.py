@@ -16,7 +16,9 @@ The vertex order refines the stratum order, so i -> s[i] is strictly
 increasing: it keeps the sorted positions behind the cofacet signs, the
 front faces of blown_cap and of the embedding terms, and every sort, so
 each matrix is exactly the one built from s.  Entries that top simplices
-share must agree; that check is all that glues the pieces.
+share must agree; that check is all that glues the pieces.  Each
+regular top simplex looks up its template and puts it once, and the
+table of what it put serves the basis, both glues and the blown-up cap.
 
 The perverse degree of a tuple measures, stratum by stratum, how far it
 sticks out of the apex direction; bounding it and the perverse degree
@@ -263,62 +265,69 @@ def template(space, s):
 class BlowupComplex:
     """Global blown-up cochains: one basis element per realized tuple,
     each regular top simplex putting the template of its shape on its
-    vertices."""
+    vertices.
+
+    Each regular top simplex is put once.  tops[si], for the index si
+    of such a simplex, holds its template T and the global index at[k][i]
+    of T.tuples[k][i] put on it, by degree; that table gives the basis
+    order, both glues and the columns of the cap of the top chains."""
 
     def __init__(self, space):
         self.space = space
-        self.tops = [s for s in space.simplices(space.n)
-                     if space.is_regular(s)]
-        seen = {}
-        for s in self.tops:
-            for k, tl in template(space, s).put(s).items():
-                seen.setdefault(k, set()).update(tl)
-        self.tuples = {k: sorted(v) for k, v in seen.items()}
+        # the tuples of each degree by order of first arrival, which the
+        # table holds until the sorted order is known
+        first, self.tops = {}, {}
+        for si, s in enumerate(space.simplices(space.n)):
+            if not space.is_regular(s):
+                continue
+            T = template(space, s)
+            at = {}
+            for k, tl in T.put(s).items():
+                got = first.setdefault(k, {})
+                at[k] = [got.setdefault(b, len(got)) for b in tl]
+            self.tops[si] = T, at
+        self.tuples = {k: sorted(got) for k, got in first.items()}
         self.index = {b: (k, i) for k, tl in self.tuples.items()
                       for i, b in enumerate(tl)}
         self.top = max(self.tuples) if self.tuples else 0
-        # per top simplex, the global index of each tuple it puts, by
-        # degree: shared by the two glues, dropped after the second
-        self._at = [{k: [self.index[b][1] for b in tl]
-                     for k, tl in template(space, s).put(s).items()}
-                    for s in self.tops]
-        self._D = {(k, ZZ.name): M for k, M in self._glue(
+        order = {k: [self.index[b][1] for b in got]
+                 for k, got in first.items()}
+        for _, at in self.tops.values():
+            for k, js in at.items():
+                at[k] = [order[k][j] for j in js]
+        self._D = self._glue(
             lambda s, T, at: ((k, T.differential(k), at[k + 1], at[k])
                               for k in range(T.top)),
             lambda k: (self.dim(k + 1), self.dim(k)),
-            "inconsistent blown-up coboundary").items()}
+            "inconsistent blown-up coboundary")
         self._allowable = {}
         self._embedding = None
 
     def _glue(self, local, shape, message):
         """The matrices of every degree k, shape(k), put together from the
         local ones: local(s, T, at) yields (k, M, row indices, column
-        indices) for the top simplex s, its template T and the global
-        index at[k][i] of T.tuples[k][i] put on s.  Entries that two
-        simplices share must agree: the check that the pieces glue."""
+        indices) for the top simplex s and its row (T, at) of the table,
+        keyed (k, "Z").  Entries that two simplices share must agree: the
+        check that the pieces glue."""
         stores = {}
-        for s, at in zip(self.tops, self._at):
-            for k, M, rows, cols in local(s, template(self.space, s), at):
+        simplices = self.space.simplices(self.space.n)
+        for si, (T, at) in self.tops.items():
+            for k, M, rows, cols in local(simplices[si], T, at):
                 store = stores.setdefault(k, {})
                 for i, row in M.rows.items():
                     out = store.setdefault(rows[i], {})
                     for j, v in row.items():
                         if out.setdefault(cols[j], v) != v:
                             raise AssertionError(message)
-        return {k: Matrix(ZZ, *shape(k), rows) for k, rows in stores.items()}
+        return {(k, ZZ.name): Matrix(ZZ, *shape(k), rows)
+                for k, rows in stores.items()}
 
     def dim(self, k):
         return len(self.tuples.get(k, ()))
 
     def differential(self, k, ring=ZZ):
         """Coboundary from degree k to degree k + 1, over ring (cached)."""
-        M = self._D.get((k, ring.name))
-        if M is None:
-            M = self._D.get((k, ZZ.name))
-            if M is None:
-                M = Matrix(ZZ, self.dim(k + 1), self.dim(k))
-            M = self._D[k, ring.name] = M.map_ring(ring)
-        return M
+        return over_ring(self._D, k, ring, (self.dim(k + 1), self.dim(k)))
 
     def allowable_indices(self, k, p):
         key = (k, p.values)
@@ -329,23 +338,51 @@ class BlowupComplex:
             self._allowable[key] = idx
         return idx
 
-    def embedding_matrix(self, k):
-        """Global cochain embedding in degree k, over Z: columns indexed by
-        the k-simplices, rows by the degree-k tuples."""
+    def embedding_matrix(self, k, ring=ZZ):
+        """Global cochain embedding in degree k, over ring (cached):
+        columns indexed by the k-simplices, rows by the degree-k
+        tuples."""
         if self._embedding is None:
             self._embedding = self._glue(
                 self._embedding_pieces,
                 lambda k: (self.dim(k), len(self.space.simplices(k))),
                 "inconsistent embedding coefficients")
-            self._at = None
-        return (self._embedding.get(k)
-                or Matrix(ZZ, self.dim(k), len(self.space.simplices(k))))
+        return over_ring(self._embedding, k, ring,
+                         (self.dim(k), len(self.space.simplices(k))))
 
     def _embedding_pieces(self, s, T, at):
         for k in range(len(s)):
             M, faces = T.cochain_embedding_matrix(k)
             yield k, M, at[k], [self.space.index_of(tuple([s[i] for i in F]))
                                 for F in faces]
+
+    def cap_terms(self, m, si, k):
+        """The blown-up cap of the regular m-simplex si in degree k: the
+        cap support of its template put on it, as (global index of the
+        degree-k tuple, sign, index of the image (m - k)-simplex)
+        triples.  A top simplex reads its columns from the table; a
+        lower one, which only single caps meet, puts its template."""
+        s = self.space.simplices(m)[si]
+        if m == self.space.n:
+            T, at = self.tops[si]
+            cols = at.get(k, ())
+        else:
+            T = template(self.space, s)
+            cols = [self.index[b][1] for b in T.put(s).get(k, ())]
+        return [(cols[i], sign,
+                 self.space.index_of(tuple([s[a] for a in G])))
+                for i, sign, G in T.cap_support.get(k, ())]
+
+
+def over_ring(store, k, ring, shape):
+    """The degree-k matrix of store, keyed (k, ring name), over ring:
+    mapped from the integral one, or zero of the given shape when there
+    is none, and kept."""
+    M = store.get((k, ring.name))
+    if M is None:
+        M = store.get((k, ZZ.name)) or Matrix(ZZ, *shape)
+        M = store[k, ring.name] = M.map_ring(ring)
+    return M
 
 
 def blowup_complex(space):
@@ -395,6 +432,6 @@ def cochain_embedding(space, ring):
     target = PresentedComplex(
         ring, {-k: B.dim(k) for k in range(B.top + 1)},
         {-k: B.differential(k, ring) for k in range(B.top)}, check=False)
-    components = {-k: B.embedding_matrix(k).map_ring(ring)
+    components = {-k: B.embedding_matrix(k, ring)
                   for k in range(space.n + 1)}
     return ChainMap(cochain_complex(space, ring), target, components)

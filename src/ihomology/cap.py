@@ -64,23 +64,7 @@ def _check_space(space, normal=False):
             raise ValueError(f"input fails the {name} check, witness {witness}")
 
 
-# --- the blown-up cap, one template per join shape ---
-
-def _support_of(space, si, m):
-    """The cap support of the template of the m-simplex si, put on it:
-    (tuple, sign, image simplex index) triples by degree."""
-    key = ("cap_support", m, si)
-    sup = space.cache.get(key)
-    if sup is None:
-        s = space.simplices(m)[si]
-        T = blowup.template(space, s)
-        put = T.put(s)
-        sup = space.cache[key] = {
-            k: tuple((put[k][i], sg, space.index_of(tuple([s[a] for a in G])))
-                     for i, sg, G in triples)
-            for k, triples in T.cap_support.items()}
-    return sup
-
+# --- the cap builder ---
 
 def _cap_matrix(space, ring, k, m, xi, blown):
     """Matrix of w -> w cap xi for a degree-m chain xi, keyed by
@@ -91,13 +75,13 @@ def _cap_matrix(space, ring, k, m, xi, blown):
     non-regular simplices of xi are skipped.  The two caps differ only
     in each simplex's term list: the classical cap has one term, front
     face to back face with sign +1, and the blown-up cap has the
-    simplex's cap support in degree k.
+    simplex's cap support in degree k (blowup.BlowupComplex.cap_terms).
     """
     if blown:
         B = blowup.blowup_complex(space)
-        ncols, column = B.dim(k), lambda b: B.index[b][1]
+        ncols = B.dim(k)
     else:
-        ncols, column = len(space.simplices(k)), space.index_of
+        ncols = len(space.simplices(k))
     rows = {}
     # a degree-k cochain caps every chain of lower degree to zero
     for si, x in (xi.items() if k <= m else ()):
@@ -105,11 +89,11 @@ def _cap_matrix(space, ring, k, m, xi, blown):
         if ring.is_zero(x) or not space.is_regular(s):
             continue
         if blown:
-            terms = _support_of(space, si, m).get(k, ())
+            terms = B.cap_terms(m, si, k)
         else:
-            terms = ((s[:k + 1], 1, space.index_of(s[k:])),)
-        for key, sg, gi in terms:
-            row, j = rows.setdefault(gi, {}), column(key)
+            terms = ((space.index_of(s[:k + 1]), 1, space.index_of(s[k:])),)
+        for j, sg, gi in terms:
+            row = rows.setdefault(gi, {})
             row[j] = ring.add(row.get(j, ring.zero),
                               ring.neg(x) if sg < 0 else x)
     rows = {gi: {j: v for j, v in row.items() if not ring.is_zero(v)}
@@ -295,7 +279,7 @@ def verify_factorization(space, ring, perversities=None):
     classical = _classical_caps(space, ring)
     blown = _blown_caps(space, ring)
     B = blowup.blowup_complex(space)
-    emb = {k: B.embedding_matrix(k).map_ring(ring) for k in range(n + 1)}
+    emb = {k: B.embedding_matrix(k, ring) for k in range(n + 1)}
     lines = []
     ok = True
     caps = {}

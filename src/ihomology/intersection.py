@@ -92,10 +92,14 @@ class PerverseSubcomplex:
 
     def contains(self, k, M):
         """Whether every column of M, over the degree-k basis, is a
-        perverse (co)chain: allowable, with an allowable image."""
-        return (set(self.allowable(k)).issuperset(M.rows)
-                and set(self.allowable(k + self.step)).issuperset(
-                    (self.differential(k) @ M).rows))
+        perverse (co)chain: allowable, with an allowable image.  The
+        image is not formed where degree k + step allows every element."""
+        if not set(self.allowable(k)).issuperset(M.rows):
+            return False
+        t = k + self.step
+        ok = self.allowable(t)
+        return (len(ok) == self.dim(t)
+                or set(ok).issuperset((self.differential(k) @ M).rows))
 
     def homology(self, k):
         """Degree-k (co)homology: the cycles on the allowable basis

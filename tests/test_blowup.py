@@ -13,6 +13,7 @@ from ihomology.blowup import (LocalBlowup, blown_cap, blowup_complex,
                               tuple_cofacets, tuple_degree, tuple_flatten,
                               tuple_norm, tw_cohomology, tw_comparison,
                               tw_complex)
+from ihomology.cap import verify_factorization
 from ihomology.complexes import InducedMap
 from ihomology.filtered import FilteredComplex, parse_complex
 from ihomology.intersection import cochain_complex
@@ -251,7 +252,8 @@ def direct_blowup(space):
     parts: the product of cone faces with tuple_cofacets for the
     coboundary, cochain_embedding_terms per face for the embedding, and
     blown_cap with tuple_flatten for the cap support of every regular
-    simplex.  Rows and entries come in order of first arrival."""
+    simplex, as (global index of the tuple, sign, image simplex index).
+    Rows and entries come in order of first arrival."""
     tops = [s for s in space.simplices(space.n) if space.is_regular(s)]
     parts_of = {s: space.join_decomposition(s).parts for s in tops}
 
@@ -293,8 +295,8 @@ def direct_blowup(space):
                 G = tuple_flatten(t)
                 if G is not None:
                     sup.setdefault(tuple_degree(b), []).append(
-                        (b, sign, space.index_of(G)))
-            support[m, si] = {k: tuple(v) for k, v in sup.items()}
+                        (index[b][1], sign, space.index_of(G)))
+            support[m, si] = sup
     return tuples, index, D, E, support
 
 
@@ -317,7 +319,8 @@ def test_templates_give_the_direct_construction(wedge_text):
             assert in_order(B.embedding_matrix(k)) == in_order(want), \
                 (name, k)
         for (m, si), sup in support.items():
-            assert cap._support_of(X, si, m) == sup, (name, m, si)
+            got = {k: B.cap_terms(m, si, k) for k in range(m + 1)}
+            assert {k: v for k, v in got.items() if v} == sup, (name, m, si)
 
 
 @pytest.fixture
@@ -356,18 +359,23 @@ def test_one_local_blowup_per_join_shape(built, wedge_text):
     assert len(built) == 8
 
 
-def test_each_top_simplex_is_put_twice(monkeypatch):
-    # once for the set of tuples, once for the global index lists that
-    # the coboundary and the embedding glues share
-    X = suspension(projective_space(4))
-    puts = []
-    real = LocalBlowup.put
+def test_each_top_simplex_is_put_once(monkeypatch):
+    # verify factorization looks up each regular top simplex's template
+    # once and puts it once, for the basis, both glues and the blown caps
+    puts, looked_up = [], []
+    real_put, real_template = LocalBlowup.put, blowup.template
     monkeypatch.setattr(LocalBlowup, "put",
-                        lambda self, s: puts.append(s) or real(self, s))
-    B = blowup_complex(X)
-    for k in range(X.n + 1):
-        B.embedding_matrix(k)
-    assert len(puts) == 2 * len(B.tops) == 768
+                        lambda self, s: puts.append(s) or real_put(self, s))
+    monkeypatch.setattr(blowup, "template", lambda X, s: (
+        looked_up.append(s) or real_template(X, s)))
+    for X, count in ((projective_space(4), 192),
+                     (suspension(projective_space(4)), 384)):
+        del puts[:], looked_up[:]
+        assert verify_factorization(X, ZZ).ok
+        B = blowup_complex(X)
+        assert len(B.tops) == count
+        assert sorted(puts) == sorted(looked_up) == sorted(
+            X.simplices(X.n)[si] for si in B.tops)
 
 
 def flip_one(monkeypatch, space, kind):

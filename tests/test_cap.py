@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ihomology import blowup
-from ihomology.blowup import (blown_cap, blowup_complex,
+from ihomology.blowup import (BlowupComplex, blown_cap, blowup_complex,
                               cochain_embedding_terms, tuple_flatten,
                               tw_complex)
 import ihomology.cap as cap
@@ -342,14 +342,15 @@ def _ref_add_to(ring, vec, i, c):
 
 
 def _ref_intersection_cap(space, ring, k, omega, m, xi):
+    B = blowup_complex(space)
     out = {}
     for si, x in xi.items():
         if ring.is_zero(x):
             continue
         if not space.is_regular(space.simplices(m)[si]):
             continue
-        for b, sg, gi in cap._support_of(space, si, m).get(k, ()):
-            w = omega.get(b)
+        for j, sg, gi in B.cap_terms(m, si, k):
+            w = omega.get(B.tuples[k][j])
             if w is None or ring.is_zero(w):
                 continue
             term = ring.mul(w, x)
@@ -391,9 +392,9 @@ def _ref_blown_caps(space, ring):
     B = blowup_complex(space)
     rows = {k: {} for k in range(n + 1)}
     for si, c in cap._fundamental_cycle(space, ring).items():
-        for k, triples in cap._support_of(space, si, n).items():
-            for b, sg, gi in triples:
-                _ref_add_to(ring, rows[k].setdefault(gi, {}), B.index[b][1],
+        for k in range(n + 1):
+            for j, sg, gi in B.cap_terms(n, si, k):
+                _ref_add_to(ring, rows[k].setdefault(gi, {}), j,
                             ring.neg(c) if sg < 0 else c)
     return {k: Matrix(ring, len(space.simplices(n - k)), B.dim(k), r)
             for k, r in rows.items()}
@@ -450,18 +451,17 @@ def test_chain_identity_names_a_broken_simplex(monkeypatch, sigma_rp3):
     si, k = X.index_of((0, 2, 3)), 1
     B = blowup_complex(X)
     emb = B.embedding_matrix(k)
-    real = cap._support_of
-    flip = next(t for t in real(X, si, 2)[k]
-                if emb.rows.get(B.index[t[0]][1]))
+    real = BlowupComplex.cap_terms
+    flip = next(t for t in real(B, 2, si, k) if emb.rows.get(t[0]))
 
-    def flipped(space, sj, m):
-        sup = real(space, sj, m)
-        if (space, sj, m) != (X, si, 2):
-            return sup
-        return {**sup, k: tuple((b, -sg, gi) if (b, sg, gi) == flip
-                                else (b, sg, gi) for b, sg, gi in sup[k])}
+    def flipped(self, m, sj, d):
+        terms = real(self, m, sj, d)
+        if self is not B or (m, sj, d) != (2, si, k):
+            return terms
+        return [(j, -sg, gi) if (j, sg, gi) == flip else (j, sg, gi)
+                for j, sg, gi in terms]
 
-    monkeypatch.setattr(cap, "_support_of", flipped)
+    monkeypatch.setattr(BlowupComplex, "cap_terms", flipped)
     with pytest.raises(AssertionError,
                        match=r"simplex \(0, 2, 3\) in degree 1"):
         check_chain_identity(X)

@@ -295,6 +295,44 @@ def test_inclusion_map_matches_per_column_construction(sigma_rp3, ring):
         inclusion_map(perverse_complex(sigma_rp3, top(4), ring), src, 2)
 
 
+def contains_by_definition(P, k, M):
+    """PerverseSubcomplex.contains as defined, the image always formed."""
+    return (set(P.allowable(k)).issuperset(M.rows)
+            and set(P.allowable(k + P.step)).issuperset(
+                (P.differential(k) @ M).rows))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_contains_is_the_full_product_definition(ring):
+    # each perverse basis, and seeded random columns: combinations of
+    # allowable elements, whose image may leave the allowable set, and
+    # single entries anywhere, which may leave it themselves
+    rng = random.Random(25)
+    seen = set()
+    for name in ("s4", "rp3", "sigma-rp3", "cone:rp3"):
+        K = builtin(name)
+        for p in (zero(K.n), clip(1, K.n), top(K.n)):
+            for P in (perverse_complex(K, p, ring), tw_complex(K, p, ring)):
+                for k, basis in P.bases.items():
+                    ok, dim = P.allowable(k), P.dim(k)
+                    columns = [{i: ring.el(rng.choice([-2, -1, 1, 3]))
+                                for i in rng.sample(ok, min(3, len(ok)))}
+                               for _ in range(4) if ok]
+                    columns += [{rng.randrange(dim): ring.one}
+                                for _ in range(4) if dim]
+                    for M in [basis] + [Matrix.from_columns(ring, dim, [c])
+                                        for c in columns]:
+                        want = contains_by_definition(P, k, M)
+                        assert P.contains(k, M) == want, \
+                            (name, str(p), P.step, k)
+                        t = k + P.step
+                        seen.add((len(P.allowable(t)) == P.dim(t), want))
+    # the shortcut where every element of degree k + step is allowable,
+    # and the product on a proper allowable set, both ways
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 # The memo of bases and groups.  These build fresh spaces, so that no
 # other test has filled the memo first.
 
