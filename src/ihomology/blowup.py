@@ -35,7 +35,7 @@ from itertools import accumulate, combinations, product
 from .complexes import ChainMap, PresentedComplex, perverse_basis
 from .intersection import PerverseSubcomplex, cochain_complex, inclusion_map
 from .matrices import Matrix
-from .rings import ZZ, ZmodRing
+from .rings import ZZ
 
 
 def cone_faces(part):
@@ -269,7 +269,8 @@ class BlowupComplex:
 
     Each regular top simplex is put once.  tops[si], for the index si
     of such a simplex, holds its template T and the global index at[k][i]
-    of T.tuples[k][i] put on it, by degree; that table gives the basis
+    of T.tuples[k][i] put on it, a tuple per degree k in 0..T.top, every
+    one of which a regular template realizes; that table gives the basis
     order, both glues and the columns of the cap of the top chains."""
 
     def __init__(self, space):
@@ -281,7 +282,7 @@ class BlowupComplex:
             if not space.is_regular(s):
                 continue
             T = template(space, s)
-            at = {}
+            at = [None] * (T.top + 1)
             for k, tl in T.put(s).items():
                 got = first.setdefault(k, {})
                 at[k] = [got.setdefault(b, len(got)) for b in tl]
@@ -292,9 +293,9 @@ class BlowupComplex:
         self.top = max(self.tuples) if self.tuples else 0
         order = {k: [self.index[b][1] for b in got]
                  for k, got in first.items()}
-        for _, at in self.tops.values():
-            for k, js in at.items():
-                at[k] = [order[k][j] for j in js]
+        for si, (T, at) in self.tops.items():
+            self.tops[si] = T, tuple(tuple([order[k][j] for j in js])
+                                     for k, js in enumerate(at))
         self._D = self._glue(
             lambda s, T, at: ((k, T.differential(k), at[k + 1], at[k])
                               for k in range(T.top)),
@@ -365,7 +366,7 @@ class BlowupComplex:
         s = self.space.simplices(m)[si]
         if m == self.space.n:
             T, at = self.tops[si]
-            cols = at.get(k, ())
+            cols = at[k]
         else:
             T = template(self.space, s)
             cols = [self.index[b][1] for b in T.put(s).get(k, ())]
@@ -399,7 +400,7 @@ def tw_complex(space, p, ring):
     key = ("tw", p.values, ring.name)
     T = space.cache.get(key)
     if T is None:
-        if isinstance(ring, ZmodRing) and not ring.is_field:
+        if ring.free_order:
             raise ValueError("blown-up complexes need integer or field "
                              "coefficients")
         if p.n != space.n:

@@ -20,13 +20,16 @@ degree sign that makes them commute on the nose:
 
 is the Leibniz rule both caps obey (the relative sign was fixed
 empirically, by elimination on randomized pairs, and is asserted by the
-test suite), so twisting degree k by (-1)^{k(k+1)/2} absorbs it.  The
-classical duality map is a chain map of the whole cochain and chain
-complexes.  The blown-up one is a matrix in full coordinates, from
-tuple cochains to simplex chains, and is checked only on the perverse
-bases: on the whole blown-up complex of the suspended projective space
-it fails to commute in degree 3.  A failed check is a broken invariant
-and raises AssertionError.
+test suite), so twisting degree k by (-1)^{k(k+1)/2} absorbs it.  Each
+cap against the fundamental class is built once per space and ring,
+already twisted (_duality_caps): the classical table is the components
+of the classical duality map, a chain map of the whole cochain and
+chain complexes, and the blown-up table is the matrices of every
+perversity's duality map, in full coordinates from tuple cochains to
+simplex chains.  That map is checked only on the perverse bases: on
+the whole blown-up complex of the suspended projective space it fails
+to commute in degree 3.  A failed check is a broken invariant and
+raises AssertionError.
 
 The verification drivers at the bottom replay the duality criteria on a
 given complex: the factorization of the classical duality map through
@@ -42,7 +45,7 @@ from .complexes import ChainMap, InducedMap, memo_key
 from .intersection import cochain_complex, comparison_map, perverse_complex
 from .matrices import Matrix
 from .perversity import clip, top, zero
-from .rings import RationalField, ZmodRing
+from .rings import RationalField
 
 blowup = _on_first_use("blowup")
 
@@ -52,7 +55,7 @@ def duality_sign(k):
 
 
 def _check_ring(ring):
-    if isinstance(ring, ZmodRing) and not ring.is_field:
+    if ring.free_order:
         raise ValueError("duality needs integer or field coefficients")
 
 
@@ -114,28 +117,21 @@ def _fundamental_cycle(space, ring):
     return fc
 
 
-def _classical_caps(space, ring):
-    """Matrices of the classical cap against the fundamental class, by
-    cochain degree, over the simplex bases."""
-    key = ("classical_caps", ring.name)
+def _duality_caps(space, ring, blown):
+    """Matrices of the cap against the fundamental class, by cochain
+    degree k, twisted by duality_sign(k): the blown-up cap from the
+    tuple bases when blown is set, the classical one from the simplex
+    bases otherwise, into the simplex bases.  One table per space, ring
+    and kind of cap, which every duality map reads as it is."""
+    key = ("duality_caps", ring.name, blown)
     got = space.cache.get(key)
     if got is None:
         fc = _fundamental_cycle(space, ring)
+        # the cap is linear in the chain: against -[X], it is negated
+        minus = {si: ring.neg(c) for si, c in fc.items()}
         got = space.cache[key] = {
-            k: _cap_matrix(space, ring, k, space.n, fc, False)
-            for k in range(space.n + 1)}
-    return got
-
-
-def _blown_caps(space, ring):
-    """Matrices of the blown-up cap against the fundamental class, by
-    cochain degree, from the tuple bases to the simplex bases."""
-    key = ("blown_caps", ring.name)
-    got = space.cache.get(key)
-    if got is None:
-        fc = _fundamental_cycle(space, ring)
-        got = space.cache[key] = {
-            k: _cap_matrix(space, ring, k, space.n, fc, True)
+            k: _cap_matrix(space, ring, k, space.n,
+                           fc if duality_sign(k) > 0 else minus, blown)
             for k in range(space.n + 1)}
     return got
 
@@ -147,10 +143,10 @@ def classical_duality(space, ring):
     got = space.cache.get(key)
     if got is None:
         _check_ring(ring)
-        comps = {-k: M.scale(ring.el(-1)) if duality_sign(k) < 0 else M
-                 for k, M in _classical_caps(space, ring).items()}
         got = ChainMap(cochain_complex(space, ring),
-                       space.chain_complex(ring).shifted(space.n), comps)
+                       space.chain_complex(ring).shifted(space.n),
+                       {-k: M for k, M in
+                        _duality_caps(space, ring, False).items()})
         try:
             got.verify()
         except ValueError as e:
@@ -170,17 +166,19 @@ class DualityMap:
     """Cap with the fundamental class from the perversity-p blown-up
     complex to the perverse chain complex, in full coordinates.
 
-    matrices[k] is the signed blown-up cap on degree-k cochains.  On the
-    perverse basis of each degree it must land in the perverse chains
-    and commute with the differentials; the whole blown-up complex need
-    not satisfy either, so the checks stay on the perverse bases.
+    matrices is the table of signed blown-up caps (_duality_caps), the
+    one object every perversity's map shares; matrices[k] acts on
+    degree-k cochains.  On the perverse basis of each degree it must
+    land in the perverse chains and commute with the differentials; the
+    whole blown-up complex need not satisfy either, so the checks stay
+    on the perverse bases.
 
     The check of degree k depends only on the caps, the blown-up basis
     and the perverse allowable sets of degrees n - k and n - k - 1, so
     it runs once per space, ring and caps for each pair of the memo keys
     those live under (complexes.memo_key), whatever the perversity.
-    The keys are kept with the caps object they were checked on, and
-    only once every check of the map has passed.
+    The keys are kept with the table they were checked on, and only
+    once every check of the map has passed.
     """
 
     def __init__(self, space, p, ring):
@@ -189,15 +187,13 @@ class DualityMap:
         self.tw = blowup.tw_complex(space, p, ring)
         self.pc = perverse_complex(space, p, ring)
         n = space.n
-        caps = _blown_caps(space, ring)
-        self.matrices = {k: M.scale(ring.el(-1)) if duality_sign(k) < 0
-                         else M for k, M in caps.items()}
+        caps = self.matrices = _duality_caps(space, ring, True)
         checked = space.cache.get(("duality_checks", ring.name))
         if checked is None or checked[0] is not caps:
             checked = space.cache[("duality_checks", ring.name)] = (caps, set())
         done = checked[1]
         passed = []
-        for k, M in self.matrices.items():
+        for k, M in caps.items():
             key = (memo_key("basis", k, self.tw.allowable, k + 1),
                    memo_key("basis", n - k, self.pc.allowable, n - k - 1))
             if key in done:
@@ -208,7 +204,7 @@ class DualityMap:
                 raise AssertionError(
                     f"cap left the perverse complex at degree {k}")
             # in degree n both differentials vanish
-            if k < n and (self.matrices[k + 1]
+            if k < n and (caps[k + 1]
                           @ (self.tw.differential(k) @ Bk)
                           != self.pc.differential(n - k) @ image):
                 raise AssertionError(
@@ -276,8 +272,10 @@ def verify_factorization(space, ring, perversities=None):
     if perversities is None:
         perversities = [zero(n), clip(1, n), top(n)]
     C = cochain_complex(space, ring)
-    classical = _classical_caps(space, ring)
-    blown = _blown_caps(space, ring)
+    # both twisted by duality_sign(k): a common sign changes no
+    # comparison, containment or lattice check below
+    classical = _duality_caps(space, ring, False)
+    blown = _duality_caps(space, ring, True)
     B = blowup.blowup_complex(space)
     emb = {k: B.embedding_matrix(k, ring) for k in range(n + 1)}
     lines = []
@@ -292,7 +290,9 @@ def verify_factorization(space, ring, perversities=None):
             caps.setdefault(k, []).append(lhs)
             if target.coords(lhs) != target.coords(rhs):
                 ok = False
-                rhs = dict(sorted(rhs.items()))
+                # the witness is the classical cap, untwisted
+                rhs = {i: v if duality_sign(k) > 0 else ring.neg(v)
+                       for i, v in sorted(rhs.items())}
                 if isinstance(ring, RationalField):
                     # the witness shows Q entries as Fractions, integral
                     # ones too

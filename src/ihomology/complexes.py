@@ -40,10 +40,11 @@ elements of degree k a (co)chain may use.  The keys (memo_key) are
   ("basis", k, cols, good), which is D[:, cols] when good holds every
   row, so one boundary matrix, swept once, gives the rank out of one
   degree and the torsion of the next; beside them, the rows where its
-  sweep put unit pivots, which clear the sweep of the next matrix;
-- ("everything", n): the one tuple that allows all n elements.
+  sweep put unit pivots, which clear the sweep of the next matrix.
 
-An empty set is None.  A HomologyGroup is never changed once built, so
+An empty set is None, and a set that allows all n elements is range(n),
+so a key holds no tuple of everything and a full perverse set gives the
+simplicial key.  A HomologyGroup is never changed once built, so
 every complex whose allowable sets agree gets the same group: all
 perversities of a space and ring share one memo (intersection.py,
 blowup.py), and simplicial homology is the group that allows every
@@ -75,7 +76,7 @@ degree is built only to prune another.
 """
 
 from .matrices import Matrix
-from .rings import IntegerRing, RationalField, ZmodRing
+from .rings import IntegerRing, RationalField
 from .snf import (
     hermite_solve,
     hermite_solve_vector,
@@ -150,15 +151,11 @@ class HomologyGroup:
 
     @property
     def free_rank(self):
-        if isinstance(self.ring, ZmodRing) and not self.ring.is_field:
-            return sum(1 for o in self.orders if o == self.ring.m)
-        return sum(1 for o in self.orders if o == 0)
+        return sum(1 for o in self.orders if o == self.ring.free_order)
 
     @property
     def torsion(self):
-        if isinstance(self.ring, ZmodRing) and not self.ring.is_field:
-            return [o for o in self.orders if o != self.ring.m]
-        return [o for o in self.orders if o != 0]
+        return [o for o in self.orders if o != self.ring.free_order]
 
     def iso_type(self):
         return (self.free_rank, tuple(sorted(self.torsion)))
@@ -223,10 +220,9 @@ def group_from_cycles(ring, Zb, B):
     z = Zb.ncols
     if z == 0:
         return HomologyGroup.trivial(ring)
-    free = 0
-    if isinstance(ring, ZmodRing) and not ring.is_field:
+    free = ring.free_order
+    if free:
         Y = Y.hstack(kernel(Zb))
-        free = ring.m
     # row r of Y is index z - 1 - r of the swept vectors
     Yc = Y.columns()
     pivots, aside = unit_pivots(ring, (
@@ -314,16 +310,13 @@ def memo_key(kind, k, allowable, j):
     and j = k + step, where its image must lie, a group only on those of
     degrees k and j = k - step, whose basis gives the boundaries.  The
     set of degree j is None when it is empty, as it is when the complex
-    has no degree j."""
-    return kind, k, tuple(allowable(k)), tuple(allowable(j)) or None
+    has no degree j.  An ascending set that holds all of its first n
+    elements is range(n), whatever form it came in."""
+    return kind, k, _index_set(allowable(k)), _index_set(allowable(j)) or None
 
 
-def everything(memo, n):
-    """The set allowing all n elements: one tuple per memo and length,
-    which every key holding it shares."""
-    if ("everything", n) not in memo:
-        memo["everything", n] = tuple(range(n))
-    return memo["everything", n]
+def _index_set(s):
+    return range(len(s)) if s and s[-1] == len(s) - 1 else tuple(s)
 
 
 def shared_basis(memo, key, D):
@@ -372,11 +365,10 @@ def shared_group(memo, k, allowable, step, D, boundaries):
     key = memo_key("group", k, allowable, k - step)
     H = memo.get(key)
     if H is None:
-        ring, cols, rows = D.ring, key[2], everything(memo, D.nrows)
+        ring, cols, rows = D.ring, key[2], range(D.nrows)
 
         def cycles():
-            below = memo.get(("group", k + step, rows,
-                              everything(memo, D.ncols) or None))
+            below = memo.get(("group", k + step, rows, range(D.ncols) or None))
             return shared_basis(memo, ("basis", k, cols, None),
                                 cycle_matrix(D, below))
 
@@ -401,10 +393,9 @@ def shared_group(memo, k, allowable, step, D, boundaries):
                 else D.submatrix(rows, cols), cleared)
             return ([d for d in f if not ring.is_unit(d)]
                     + [0] * (len(cols) - len(out) - len(f)))
-        composite = isinstance(ring, ZmodRing) and not ring.is_field
         H = memo[key] = HomologyGroup.lazy(
             ring, lambda: group_from_cycles(ring, cycles(), boundaries()),
-            None if composite else rule)
+            None if ring.free_order else rule)
     return H
 
 
@@ -417,9 +408,9 @@ def homology_of(bd_out, bd_in):
     """
     if bd_out.ncols != bd_in.nrows:
         raise ValueError("boundary shapes disagree")
-    memo, dims = {}, {0: bd_out.ncols, 1: bd_in.ncols}
-    return shared_group(memo, 0, lambda j: everything(memo, dims.get(j, 0)),
-                        -1, bd_out, lambda: bd_in)
+    dims = {0: bd_out.ncols, 1: bd_in.ncols}
+    return shared_group({}, 0, lambda j: range(dims.get(j, 0)), -1, bd_out,
+                        lambda: bd_in)
 
 
 class PresentedComplex:
@@ -465,9 +456,8 @@ class PresentedComplex:
     def homology(self, k):
         if self.dim(k) == 0:
             return HomologyGroup.trivial(self.ring)
-        return shared_group(
-            self.memo, k, lambda j: everything(self.memo, self.dim(j)), -1,
-            self.boundary(k), lambda: self.boundary(k + 1))
+        return shared_group(self.memo, k, lambda j: range(self.dim(j)), -1,
+                            self.boundary(k), lambda: self.boundary(k + 1))
 
     def shifted(self, n):
         """The same complex regraded so that degree k sits at k - n."""

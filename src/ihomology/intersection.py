@@ -32,9 +32,8 @@ k and k + 1.
 from functools import cached_property
 
 from .complexes import (HomologyGroup, InducedMap, PresentedComplex,
-                        everything, memo_key, shared_basis, shared_group)
+                        memo_key, shared_basis, shared_group)
 from .matrices import Matrix
-from .rings import ZmodRing
 from .snf import hermite_solve
 
 
@@ -164,9 +163,8 @@ def chain_homology(K, k, ring):
     """
     if not 0 <= k <= K.top_dim():
         return HomologyGroup.trivial(ring)
-    memo = chain_memo(K, ring)
-    return shared_group(memo, k,
-                        lambda j: everything(memo, len(K.simplices(j))), -1,
+    return shared_group(chain_memo(K, ring), k,
+                        lambda j: range(len(K.simplices(j))), -1,
                         K.boundary_matrix(k, ring),
                         lambda: K.boundary_matrix(k + 1, ring))
 
@@ -221,7 +219,7 @@ def gm_cochain_complex(K, p, ring):
     Available over the integers and over fields, where the perverse
     complex is a complex of finitely generated free modules.
     """
-    if isinstance(ring, ZmodRing) and not ring.is_field:
+    if ring.free_order:
         raise ValueError("dual complexes need integer or field coefficients")
     key = ("gm_cochain", p.values, ring.name)
     C = K.cache.get(key)

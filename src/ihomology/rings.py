@@ -42,6 +42,9 @@ class Ring:
 
     name = "?"
     is_field = False
+    # the order a free summand gets in HomologyGroup.orders: m over a
+    # composite Z/m, whose modules need not be free, and 0 elsewhere
+    free_order = 0
 
     def el(self, x):
         raise NotImplementedError
@@ -288,6 +291,7 @@ class ZmodRing(Ring):
         self.m = m
         self.name = f"Z/{m}"
         self.is_field = _is_prime(m)
+        self.free_order = 0 if self.is_field else m
         self.zero = 0
         self.one = 1 % m
 

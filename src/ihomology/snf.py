@@ -43,7 +43,6 @@ from collections import Counter
 from itertools import chain
 
 from .matrices import Matrix
-from .rings import ZmodRing
 
 
 def _axpy(R, dst, src, c):
@@ -332,7 +331,7 @@ def hermite_column_form(M):
     unique form of the span whatever the order of the steps.
     """
     R = M.ring
-    composite = isinstance(R, ZmodRing) and not R.is_field
+    composite = R.free_order != 0
     waiting = {}
     seen = M.columns()
     for j in sorted(seen):

@@ -342,14 +342,14 @@ def test_one_local_blowup_per_join_shape(built, wedge_text):
     B = blowup_complex(X)
     for k in range(X.n + 1):
         B.embedding_matrix(k)
-    cap._blown_caps(X, ZZ)
+    cap._duality_caps(X, ZZ, True)
     assert len(built) == 1
     del built[:]
     W = parse_complex(wedge_text)
     B = blowup_complex(W)
     for k in range(W.n + 1):
         B.embedding_matrix(k)
-    cap._blown_caps(W, ZZ)
+    cap._duality_caps(W, ZZ, True)
     assert sorted(tuple(map(len, P)) for P in built) == [
         (0, 0, 3), (1, 0, 2)]
     # every join profile of a regular simplex of sigma-rp3, as counted by

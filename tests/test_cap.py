@@ -160,17 +160,40 @@ def test_replaced_blown_caps_get_no_old_verdicts(monkeypatch):
     # broken caps still fails its chain-map check
     space = simplex_sphere(2)
     assert verify_factorization(space, ZZ).ok
-    real = cap._blown_caps
+    real = cap._duality_caps
 
-    def broken(space, ring):
-        mats = dict(real(space, ring))
-        mats[1] = mats[1].scale(ring.el(2))
+    def broken(space, ring, blown):
+        mats = dict(real(space, ring, blown))
+        if blown:
+            mats[1] = mats[1].scale(ring.el(2))
         return mats
 
-    monkeypatch.setattr(cap, "_blown_caps", broken)
+    monkeypatch.setattr(cap, "_duality_caps", broken)
     for p in (zero(2), top(2)):
         with pytest.raises(AssertionError, match="chain map"):
             cap.DualityMap(space, p, ZZ)
+
+
+def test_every_duality_map_reads_the_one_signed_table(monkeypatch):
+    # the twisted caps against [X] are built once per space, ring and
+    # kind of cap: every perversity's duality map holds the blown-up
+    # table itself, classical duality takes the classical one as its
+    # components, and no matrix is scaled on the way
+    def refused(self, c):
+        raise AssertionError("a duality map scaled a matrix")
+
+    monkeypatch.setattr(Matrix, "scale", refused)
+    X = suspension(projective_space(4))
+    lattice = gm_lattice(X.n)
+    for ring in (ZZ, QQ):
+        table = cap._duality_caps(X, ring, True)
+        for p in lattice:
+            for q in lattice:
+                assert duality_map(X, p, ring).matrices is \
+                    duality_map(X, q, ring).matrices is table
+        classical = cap._duality_caps(X, ring, False)
+        for k in range(X.n + 1):
+            assert classical_duality(X, ring).component(-k) is classical[k]
 
 
 def test_blown_duality_torsion_degree(sigma_rp3):
@@ -245,12 +268,15 @@ def test_factorization_witness_prints_rationals_as_fractions(monkeypatch):
     # a doubled classical cap splits every class; over Q the witness
     # shows its entries as Fractions even when they are integral, in
     # ascending index order
-    real = cap._classical_caps
+    real = cap._duality_caps
 
-    def doubled(space, ring):
-        return {k: M.scale(ring.el(2)) for k, M in real(space, ring).items()}
+    def doubled(space, ring, blown):
+        if blown:
+            return real(space, ring, blown)
+        return {k: M.scale(ring.el(2))
+                for k, M in real(space, ring, blown).items()}
 
-    monkeypatch.setattr(cap, "_classical_caps", doubled)
+    monkeypatch.setattr(cap, "_duality_caps", doubled)
     # a fresh space, so no cached cap outlives the test
     report = verify_factorization(simplex_sphere(1), QQ)
     assert not report.ok
@@ -381,7 +407,8 @@ def _ref_classical_caps(space, ring):
         s = tops[si]
         for k in range(n + 1):
             row = rows[k].setdefault(space.index_of(tuple(s[k:])), {})
-            _ref_add_to(ring, row, space.index_of(tuple(s[:k + 1])), c)
+            _ref_add_to(ring, row, space.index_of(tuple(s[:k + 1])),
+                        ring.neg(c) if duality_sign(k) < 0 else c)
     return {k: Matrix(ring, len(space.simplices(n - k)),
                       len(space.simplices(k)), r)
             for k, r in rows.items()}
@@ -395,7 +422,7 @@ def _ref_blown_caps(space, ring):
         for k in range(n + 1):
             for j, sg, gi in B.cap_terms(n, si, k):
                 _ref_add_to(ring, rows[k].setdefault(gi, {}), j,
-                            ring.neg(c) if sg < 0 else c)
+                            ring.neg(c) if sg * duality_sign(k) < 0 else c)
     return {k: Matrix(ring, len(space.simplices(n - k)), B.dim(k), r)
             for k, r in rows.items()}
 
@@ -418,9 +445,9 @@ def test_cap_matrix_matches_the_accumulation_loops(ring, s4, rp3, sigma_rp3):
     for space in (s4, rp3, sigma_rp3):
         n = space.n
         B = blowup_complex(space)
-        for got, want in ((cap._classical_caps(space, ring),
+        for got, want in ((cap._duality_caps(space, ring, False),
                            _ref_classical_caps(space, ring)),
-                          (cap._blown_caps(space, ring),
+                          (cap._duality_caps(space, ring, True),
                            _ref_blown_caps(space, ring))):
             for k in range(n + 1):
                 # the same rows in the same order, the empty ones dropped

@@ -320,11 +320,11 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err == "internal error: differential left the perverse subcomplex\n"
 
 
-@pytest.mark.parametrize("caps, what", [("_classical_caps", "zero-top"),
-                                         ("_blown_caps", "factorization")],
+@pytest.mark.parametrize("blown, what", [(False, "zero-top"),
+                                          (True, "factorization")],
                          ids=["classical", "blown-up"])
 def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, tmp_path,
-                                              caps, what):
+                                              blown, what):
     # the input is valid, so a cap that fails its chain-map check is a
     # broken invariant, not bad input.  A file loads a fresh space on
     # every run, so the passing run before it caches nothing, maps or
@@ -334,14 +334,15 @@ def test_broken_duality_chain_map_exits_three(monkeypatch, capsys, tmp_path,
                                          for v in "abcd")
                     + "facet a b c\nfacet a b d\nfacet a c d\nfacet b c d\n")
     assert run_cli(capsys, "verify", what, "--input", str(path))[0] == 0
-    real = getattr(cap, caps)
+    real = cap._duality_caps
 
-    def broken(space, ring):
-        mats = dict(real(space, ring))
-        mats[1] = mats[1].scale(ring.el(2))
+    def broken(space, ring, kind):
+        mats = dict(real(space, ring, kind))
+        if kind == blown:
+            mats[1] = mats[1].scale(ring.el(2))
         return mats
 
-    monkeypatch.setattr(cap, caps, broken)
+    monkeypatch.setattr(cap, "_duality_caps", broken)
     code, out, err = run_cli(capsys, "verify", what, "--input", str(path))
     assert code == 3
     assert out == ""

@@ -2,7 +2,7 @@
 helper or public definition is left that nothing calls, and a job loads
 only the layers it runs.
 
-No linter runs on the package, so small ast scans stand in for four
+No linter runs on the package, so small ast scans stand in for five
 rules.  Unused imports: every name an import statement binds must be
 read somewhere else in the module; __init__.py binds names to re-export
 them and is left out.  Dead private code: every private module-level
@@ -14,7 +14,8 @@ referenced in the same ways, or as a tracer target string such as
 benchmark harness.  Imports sit at module level only: the package's
 _on_first_use binds the layers a module may need as modules run on
 first use (cli's duality layers, cap's blowup, filtered's spaces), so
-no function has to import one.
+no function has to import one.  The class of Z/m is named in rings
+alone: every other module tells a composite Z/m by ring.free_order.
 
 Fresh interpreters check the loading itself: importing the package
 runs no layer, every name of its __all__ resolves to the object in its
@@ -199,6 +200,35 @@ def test_no_function_imports_a_module():
     found = {p.name: function_level_imports(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def names_used(source):
+    """Sorted names that source reads, reads as attributes or imports,
+    under their own names and their aliases."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(n for a in node.names
+                         for n in (a.name, a.asname) if n)
+    return sorted(found)
+
+
+def test_the_scan_finds_names_used():
+    source = "from .rings import ZmodRing as Z\nisinstance(r, Z)\n"
+    assert names_used(source) == ["Z", "ZmodRing", "isinstance", "r"]
+    assert names_used("rings.ZmodRing\n") == ["ZmodRing", "rings"]
+
+
+def test_only_rings_names_the_class_of_z_mod_m():
+    # a composite Z/m is told apart by ring.free_order, not by its class
+    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "rings.py"
+             and "ZmodRing" in names_used(p.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def fresh(code, *argv):
