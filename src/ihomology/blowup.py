@@ -24,16 +24,17 @@ The perverse degree of a tuple measures, stratum by stratum, how far it
 sticks out of the apex direction; bounding it and the perverse degree
 of the coboundary by a perversity carves out the subcomplex whose
 cohomology is computed here, by intersection.PerverseSubcomplex in full
-tuple coordinates.  The cochain embedding, a chain map into the whole
-blown-up complex, and the chain blow-down live here too; cap products
-are in cap.py.
+tuple coordinates.  The cochain embedding
+(BlowupComplex.embedding_matrix), which commutes with the coboundaries
+of the whole blown-up complex, and the chain blow-down live here too;
+cap products are in cap.py.
 """
 
 from functools import cached_property
 from itertools import accumulate, combinations, product
 
-from .complexes import ChainMap, PresentedComplex, perverse_basis
-from .intersection import PerverseSubcomplex, cochain_complex, inclusion_map
+from .complexes import perverse_basis
+from .intersection import PerverseSubcomplex, inclusion_map
 from .matrices import Matrix
 from .rings import ZZ
 
@@ -424,15 +425,3 @@ def tw_comparison(space, p, q, ring, k):
         raise ValueError("comparison map needs a pointwise smaller source")
     return inclusion_map(tw_complex(space, p, ring),
                          tw_complex(space, q, ring), k)
-
-
-def cochain_embedding(space, ring):
-    """Chain map realizing ordinary cochains as blown-up cochains, into
-    the whole blown-up complex stored at negated degrees."""
-    B = blowup_complex(space)
-    target = PresentedComplex(
-        ring, {-k: B.dim(k) for k in range(B.top + 1)},
-        {-k: B.differential(k, ring) for k in range(B.top)}, check=False)
-    components = {-k: B.embedding_matrix(k, ring)
-                  for k in range(space.n + 1)}
-    return ChainMap(cochain_complex(space, ring), target, components)

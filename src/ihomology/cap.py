@@ -22,14 +22,14 @@ is the Leibniz rule both caps obey (the relative sign was fixed
 empirically, by elimination on randomized pairs, and is asserted by the
 test suite), so twisting degree k by (-1)^{k(k+1)/2} absorbs it.  Each
 cap against the fundamental class is built once per space and ring,
-already twisted (_duality_caps): the classical table is the components
-of the classical duality map, a chain map of the whole cochain and
-chain complexes, and the blown-up table is the matrices of every
-perversity's duality map, in full coordinates from tuple cochains to
-simplex chains.  That map is checked only on the perverse bases: on
-the whole blown-up complex of the suspended projective space it fails
-to commute in degree 3.  A failed check is a broken invariant and
-raises AssertionError.
+already twisted (_duality_caps): the classical table is the classical
+duality map, checked once per table to commute with the simplicial
+coboundaries and boundaries (classical_duality), and the blown-up
+table is the matrices of every perversity's duality map, in full
+coordinates from tuple cochains to simplex chains.  The blown-up map
+is checked only on the perverse bases: on the whole blown-up complex
+of the suspended projective space it fails to commute in degree 3.  A
+failed check is a broken invariant and raises AssertionError.
 
 The verification drivers at the bottom replay the duality criteria on a
 given complex: the factorization of the classical duality map through
@@ -41,8 +41,8 @@ reads the blown-up complex, so blowup is bound on first use.
 from fractions import Fraction
 
 from . import _on_first_use
-from .complexes import ChainMap, InducedMap, memo_key
-from .intersection import cochain_complex, comparison_map, perverse_complex
+from .complexes import InducedMap, memo_key
+from .intersection import cohomology, comparison_map, perverse_complex
 from .matrices import Matrix
 from .perversity import clip, top, zero
 from .rings import RationalField
@@ -137,29 +137,29 @@ def _duality_caps(space, ring, blown):
 
 
 def classical_duality(space, ring):
-    """Cap with the fundamental class as a verified chain map from the
-    cochain complex to the chain complex regraded by the top degree."""
+    """The signed classical table (_duality_caps), once it is checked to
+    commute with the differentials: caps[k + 1] @ d^k == d_{n-k} @
+    caps[k] for k < n, from cochains to chains.  The check runs once
+    per table; a failure raises AssertionError naming the degree."""
+    _check_ring(ring)
+    caps = _duality_caps(space, ring, False)
     key = ("classical_duality", ring.name)
-    got = space.cache.get(key)
-    if got is None:
-        _check_ring(ring)
-        got = ChainMap(cochain_complex(space, ring),
-                       space.chain_complex(ring).shifted(space.n),
-                       {-k: M for k, M in
-                        _duality_caps(space, ring, False).items()})
-        try:
-            got.verify()
-        except ValueError as e:
-            raise AssertionError(f"classical duality: {e}") from None
-        space.cache[key] = got
-    return got
+    if space.cache.get(key) is not caps:
+        n = space.n
+        for k in range(n):
+            if (caps[k + 1] @ space.coboundary_matrix(k, ring)
+                    != space.boundary_matrix(n - k, ring) @ caps[k]):
+                raise AssertionError(
+                    f"classical duality is not a chain map at degree {k}")
+        space.cache[key] = caps
+    return caps
 
 
 def classical_duality_induced(space, ring, k):
     """Induced map on degree-k cohomology, into (n-k)-homology."""
-    f = classical_duality(space, ring)
-    return InducedMap(f.source.homology(-k),
-                      space.homology(space.n - k, ring), f.component(-k))
+    return InducedMap(cohomology(space, ring, k),
+                      space.homology(space.n - k, ring),
+                      classical_duality(space, ring)[k])
 
 
 class DualityMap:
@@ -248,9 +248,8 @@ def _build_ascending(space, ring):
     The drivers run this first: the fundamental class is the cycle
     basis of H_n, so built here it costs no elimination of its own, and
     built before it would be eliminated on every row of d_n."""
-    C = cochain_complex(space, ring)
     for k in range(space.n + 1):
-        C.homology(k - space.n).build()
+        cohomology(space, ring, space.n - k).build()
         space.homology(k, ring).build()
 
 
@@ -271,7 +270,6 @@ def verify_factorization(space, ring, perversities=None):
     n = space.n
     if perversities is None:
         perversities = [zero(n), clip(1, n), top(n)]
-    C = cochain_complex(space, ring)
     # both twisted by duality_sign(k): a common sign changes no
     # comparison, containment or lattice check below
     classical = _duality_caps(space, ring, False)
@@ -282,7 +280,7 @@ def verify_factorization(space, ring, perversities=None):
     ok = True
     caps = {}
     for k in range(n + 1):
-        H = C.homology(-k)
+        H = cohomology(space, ring, k)
         target = space.homology(n - k, ring)
         for rep in H.reps:
             rhs = classical[k] @ rep
@@ -360,5 +358,3 @@ def check_zero_top(space, ring):
     report.beta_iso = beta_iso
     report.equivalence_ok = equiv
     return report
-
-

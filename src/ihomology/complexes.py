@@ -48,8 +48,9 @@ simplicial key.  A HomologyGroup is never changed once built, so
 every complex whose allowable sets agree gets the same group: all
 perversities of a space and ring share one memo (intersection.py,
 blowup.py), and simplicial homology is the group that allows every
-simplex.  A PresentedComplex keeps a memo in which every set allows
-everything, and homology_of a throwaway one.
+simplex.  Simplicial cohomology is the step +1 group of the cochain
+memo, which allows every simplex too.  A PresentedComplex keeps a memo
+in which every set allows everything, and homology_of a throwaway one.
 
 The rule sweeps the boundaries B into a degree before the differential
 D out of it, skipping D's columns at B's unit pivots: D sends to zero
@@ -418,9 +419,10 @@ class PresentedComplex:
 
     dims maps degree -> rank of the chain module, boundaries maps k to
     the matrix of the differential from degree k to degree k-1.  Degrees
-    may be any integers; missing degrees are zero.  Cochain complexes are
-    stored with negated degrees so the differential still lowers.  memo
-    holds the groups (see the module docstring).
+    may be any integers; missing degrees are zero.  The Hom-dual of a
+    perverse complex (intersection.gm_cochain_complex) is stored with
+    negated degrees so the differential still lowers.  memo holds the
+    groups (see the module docstring).
     """
 
     def __init__(self, ring, dims, boundaries, check=True):
@@ -444,9 +446,6 @@ class PresentedComplex:
     def dim(self, k):
         return self.dims.get(k, 0)
 
-    def degrees(self):
-        return sorted(self.dims)
-
     def boundary(self, k):
         M = self.boundaries.get(k)
         if M is None:
@@ -458,12 +457,6 @@ class PresentedComplex:
             return HomologyGroup.trivial(self.ring)
         return shared_group(self.memo, k, lambda j: range(self.dim(j)), -1,
                             self.boundary(k), lambda: self.boundary(k + 1))
-
-    def shifted(self, n):
-        """The same complex regraded so that degree k sits at k - n."""
-        return PresentedComplex(
-            self.ring, {k - n: d for k, d in self.dims.items()},
-            {k - n: M for k, M in self.boundaries.items()}, check=False)
 
 
 class ChainMap:

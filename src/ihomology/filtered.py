@@ -15,7 +15,6 @@ the constructions it names (spaces) on first use.
 from itertools import combinations
 
 from . import _on_first_use
-from .complexes import PresentedComplex
 from .intersection import chain_homology
 from .matrices import Matrix
 
@@ -182,16 +181,14 @@ class FilteredComplex:
             self.cache[key] = M
         return M
 
-    def chain_complex(self, ring):
-        key = ("chain_complex", ring.name)
-        C = self.cache.get(key)
-        if C is None:
-            top = self.top_dim()
-            dims = {k: len(self.simplices(k)) for k in range(top + 1)}
-            bnds = {k: self.boundary_matrix(k, ring) for k in range(1, top + 1)}
-            C = PresentedComplex(ring, dims, bnds, check=False)
-            self.cache[key] = C
-        return C
+    def coboundary_matrix(self, k, ring):
+        """The simplicial coboundary from degree k to degree k + 1, the
+        transpose of boundary_matrix(k + 1, ring) (cached)."""
+        key = ("coboundary", k, ring.name)
+        M = self.cache.get(key)
+        if M is None:
+            M = self.cache[key] = self.boundary_matrix(k + 1, ring).transpose()
+        return M
 
     def homology(self, k, ring):
         return chain_homology(self, k, ring)

@@ -26,7 +26,9 @@ so a basis or group is computed once for all perversities that allow
 the same elements there.  Simplicial homology is the chain group under
 the key that allows every simplex, so it is the very intersection
 homology group of each perversity that allows every simplex of degrees
-k and k + 1.
+k and k + 1.  Simplicial cohomology has a memo of its own,
+K.cache[("cochain_memo", ring name)], whose groups allow every simplex
+and step +1 along the coboundaries K.coboundary_matrix(k, ring).
 """
 
 from functools import cached_property
@@ -191,26 +193,16 @@ def comparison_map(K, p, q, ring, k):
                          perverse_complex(K, q, ring), k)
 
 
-def cochain_complex(K, ring):
-    """Simplicial cochains of the whole space, stored at negated degrees."""
-    key = ("cochain_complex", ring.name)
-    C = K.cache.get(key)
-    if C is None:
-        top = K.top_dim()
-        dims = {-k: len(K.simplices(k)) for k in range(top + 1)}
-        boundaries = {}
-        for k in range(1, top + 1):
-            M = K.boundary_matrix(k, ring)
-            if M.nrows and M.ncols:
-                boundaries[-(k - 1)] = M.transpose()
-        C = PresentedComplex(ring, dims, boundaries, check=False)
-        K.cache[key] = C
-    return C
-
-
 def cohomology(K, ring, k):
-    """Ordinary simplicial cohomology of the underlying space."""
-    return cochain_complex(K, ring).homology(-k)
+    """Simplicial cohomology H^k(K; ring): the group of degree k, step
+    +1, in the memo of the cochains of K over ring, which allows every
+    simplex, with the coboundaries as differentials."""
+    if not 0 <= k <= K.top_dim():
+        return HomologyGroup.trivial(ring)
+    return shared_group(K.cache.setdefault(("cochain_memo", ring.name), {}),
+                        k, lambda j: range(len(K.simplices(j))), 1,
+                        K.coboundary_matrix(k, ring),
+                        lambda: K.coboundary_matrix(k - 1, ring))
 
 
 def gm_cochain_complex(K, p, ring):

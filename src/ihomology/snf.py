@@ -392,7 +392,7 @@ def integer_kernel(M):
 
     The columns of hermite_column_form([M; I]) that pivot in the I block
     span every vector (0, x) of the span of the (M x, x), that is every x
-    in ker(M); shifted up, they are ker(M) in Hermite form over Z, in
+    in ker(M); moved up, they are ker(M) in Hermite form over Z, in
     Howell form over a composite Z/m and in reduced echelon form over a
     field.  kernel() gives the same basis; it calls this only on the
     residual rows its unit-pivot elimination sets aside.

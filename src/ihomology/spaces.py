@@ -51,7 +51,7 @@ def _fresh_name(base, taken):
 
 
 def cone(K, apex_name="apex"):
-    """Simplicial cone: apex in stratum 0, K strata shifted up by one."""
+    """Simplicial cone: apex in stratum 0, K strata raised by one."""
     n = K.n + 1
     names = [_fresh_name(apex_name, set(K.vertex_names))] + K.vertex_names
     strata = [0] + [s + 1 for s in K.strata]
@@ -61,7 +61,7 @@ def cone(K, apex_name="apex"):
 
 
 def suspension(K):
-    """Simplicial suspension: two apexes in stratum 0, strata shifted up."""
+    """Simplicial suspension: two apexes in stratum 0, strata raised by one."""
     n = K.n + 1
     taken = set(K.vertex_names)
     north = _fresh_name("north", taken)
@@ -70,9 +70,9 @@ def suspension(K):
     strata = [0, 0] + [s + 1 for s in K.strata]
     facets = []
     for f in K.facets:
-        shifted = tuple(v + 2 for v in f)
-        facets.append((0,) + shifted)
-        facets.append((1,) + shifted)
+        body = tuple(v + 2 for v in f)
+        facets.append((0,) + body)
+        facets.append((1,) + body)
     return FilteredComplex(n, names, strata, facets,
                            name=f"susp:{K.name}" if K.name else None)
 

@@ -16,10 +16,10 @@ from ihomology.checks import (cap_bookkeeping_ok, check_chain_identity,
                               check_local_cap_factorization, gm_demo,
                               leibniz_holds)
 from ihomology.filtered import builtin
-from ihomology.intersection import (allowable_indices, cochain_complex,
-                                    cohomology, comparison_map,
-                                    gm_cochain_complex, gm_cohomology,
-                                    intersection_homology, perverse_complex)
+from ihomology.intersection import (allowable_indices, cohomology,
+                                    comparison_map, gm_cochain_complex,
+                                    gm_cohomology, intersection_homology,
+                                    perverse_complex)
 from ihomology.perversity import clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
 from ihomology.snf import hermite_column_form
@@ -176,8 +176,12 @@ def test_7_property_suites(s4, sigma_rp3):
     lattice = gm_lattice(4)
     compositions = 0
     for space in (s4, sigma_rp3):
-        compositions += _dd_zero(space.chain_complex(ZZ))
-        compositions += _dd_zero(cochain_complex(space, ZZ))
+        for k in range(2, space.top_dim() + 1):
+            assert (space.boundary_matrix(k - 1, ZZ)
+                    @ space.boundary_matrix(k, ZZ)).is_zero()
+            assert (space.coboundary_matrix(k - 1, ZZ)
+                    @ space.coboundary_matrix(k - 2, ZZ)).is_zero()
+            compositions += 2
         B = blowup_complex(space)
         for k in range(B.top):
             assert (B.differential(k + 1) @ B.differential(k)).is_zero()

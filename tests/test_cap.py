@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ihomology import blowup
+from ihomology import blowup, cli
 from ihomology.blowup import (BlowupComplex, blown_cap, blowup_complex,
                               cochain_embedding_terms, tuple_flatten,
                               tw_complex)
@@ -177,8 +177,8 @@ def test_replaced_blown_caps_get_no_old_verdicts(monkeypatch):
 def test_every_duality_map_reads_the_one_signed_table(monkeypatch):
     # the twisted caps against [X] are built once per space, ring and
     # kind of cap: every perversity's duality map holds the blown-up
-    # table itself, classical duality takes the classical one as its
-    # components, and no matrix is scaled on the way
+    # table itself, classical duality is the classical one, and no
+    # matrix is scaled on the way
     def refused(self, c):
         raise AssertionError("a duality map scaled a matrix")
 
@@ -192,8 +192,7 @@ def test_every_duality_map_reads_the_one_signed_table(monkeypatch):
                 assert duality_map(X, p, ring).matrices is \
                     duality_map(X, q, ring).matrices is table
         classical = cap._duality_caps(X, ring, False)
-        for k in range(X.n + 1):
-            assert classical_duality(X, ring).component(-k) is classical[k]
+        assert classical_duality(X, ring) is classical
 
 
 def test_blown_duality_torsion_degree(sigma_rp3):
@@ -254,6 +253,42 @@ def test_zero_top_needs_normality(wedge_text):
         assert all(beta_iso)
         with pytest.raises(ValueError, match=r"normality check, witness \('p',\)"):
             check_zero_top(wedge, ring)
+
+
+# a 2-sphere with its poles identified to the vertex P: 13 vertices and
+# 24 facets, a pseudomanifold whose link at P is two circles
+PINCHED_TORUS = (
+    "dim 2\nvertex P stratum 0\n"
+    + "".join(f"vertex {v}{i} stratum 2\n" for v in "ab" for i in range(6))
+    + "".join(f"facet {f}\n" for i in range(6) for j in [(i + 1) % 6]
+              for f in (f"P a{i} a{j}", f"a{i} a{j} b{i}",
+                        f"a{j} b{i} b{j}", f"P b{i} b{j}")))
+
+
+def test_pinched_torus_needs_the_normality_gate(tmp_path, capsys):
+    # verify zero-top refuses the pinched torus and the factorization,
+    # which needs no normality, passes.  Past the gate, classical
+    # duality fails in degree 1 while zero -> top is an isomorphism in
+    # every degree (the two perversities agree in dimension 2), so the
+    # zero-top equivalence would be broken
+    path = tmp_path / "pinched.txt"
+    path.write_text(PINCHED_TORUS)
+    assert cli.main(["verify", "zero-top", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: input fails the normality check, "
+                   "witness ('P',)\n")
+    assert cli.main(["verify", "factorization", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+    X = parse_complex(PINCHED_TORUS)
+    assert (X.vertex_count, len(X.facets)) == (13, 24)
+    assert X.validate().valid and not X.validate().normal
+    assert [str(X.homology(k, ZZ)) for k in range(3)] == ["Z", "Z", "Z"]
+    for ring in (ZZ, QQ):
+        assert [classical_duality_induced(X, ring, k).is_isomorphism()
+                for k in range(3)] == [True, False, True], ring
+        assert all(comparison_map(X, zero(2), top(2), ring, j).is_isomorphism()
+                   for j in range(3)), ring
 
 
 def test_verify_factorization(s4, sigma_rp3):

@@ -561,13 +561,14 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setattr(filtered, "_builtin_cache", {})
     shapes.clear()
-    C = filtered.builtin("sigma-rp3").chain_complex(ZZ)
-    types = [homology_of(C.boundary(k), C.boundary(k + 1)).iso_type()
-             for k in C.degrees()]
+    K = filtered.builtin("sigma-rp3")
+    types = [homology_of(K.boundary_matrix(k, ZZ),
+                         K.boundary_matrix(k + 1, ZZ)).iso_type()
+             for k in range(5)]
     assert types == [(1, ()), (0, ()), (0, (2,)), (0, ()), (1, ())]
     # the residual keeps all of the matrix's rows
     assert largest() == (16, 848)
-    assert types == [C.homology(k).build().iso_type() for k in C.degrees()]
+    assert types == [K.homology(k, ZZ).build().iso_type() for k in range(5)]
 
 
 @pytest.mark.slow

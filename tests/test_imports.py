@@ -2,7 +2,7 @@
 helper or public definition is left that nothing calls, and a job loads
 only the layers it runs.
 
-No linter runs on the package, so small ast scans stand in for five
+No linter runs on the package, so small scans stand in for six
 rules.  Unused imports: every name an import statement binds must be
 read somewhere else in the module; __init__.py binds names to re-export
 them and is left out.  Dead private code: every private module-level
@@ -16,6 +16,8 @@ _on_first_use binds the layers a module may need as modules run on
 first use (cli's duality layers, cap's blowup, filtered's spaces), so
 no function has to import one.  The class of Z/m is named in rings
 alone: every other module tells a composite Z/m by ring.free_order.
+Whitespace: every module ends in exactly one newline, and no line ends
+in a space or a tab.
 
 Fresh interpreters check the loading itself: importing the package
 runs no layer, every name of its __all__ resolves to the object in its
@@ -229,6 +231,30 @@ def test_only_rings_names_the_class_of_z_mod_m():
              if p.name != "rings.py"
              and "ZmodRing" in names_used(p.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def whitespace_faults(source):
+    """Line numbers of the lines of source that end in a space or a tab,
+    then "end" unless source ends in exactly one newline."""
+    faults = [i for i, line in enumerate(source.split("\n"), start=1)
+              if line != line.rstrip(" \t")]
+    if not source.endswith("\n") or source.endswith("\n\n"):
+        faults.append("end")
+    return faults
+
+
+def test_the_scan_finds_whitespace_faults():
+    assert whitespace_faults("a = 1\nb = 2\n") == []
+    assert whitespace_faults("a = 1 \nb = 2\t\n") == [1, 2]
+    assert whitespace_faults("a = 1\n\n") == ["end"]
+    assert whitespace_faults("a = 1") == ["end"]
+    assert whitespace_faults("a = 1\n   \n") == [2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_has_trailing_whitespace(path):
+    assert whitespace_faults(path.read_text(encoding="utf-8")) == []
 
 
 def fresh(code, *argv):

@@ -7,13 +7,13 @@ import pytest
 from ihomology import cli, filtered
 from ihomology.blowup import blowup_complex, tw_complex
 from ihomology.cap import _build_ascending
-from ihomology.complexes import homology_of
+from ihomology.complexes import PresentedComplex, homology_of
 from ihomology.filtered import FilteredComplex, builtin
 from ihomology.intersection import (allowable_indices, chain_memo,
-                                    cochain_complex, cohomology,
-                                    comparison_map, gm_cohomology,
-                                    inclusion_map, intersection_homology,
-                                    is_allowable, perverse_complex)
+                                    cohomology, comparison_map,
+                                    gm_cohomology, inclusion_map,
+                                    intersection_homology, is_allowable,
+                                    perverse_complex)
 from ihomology.matrices import Matrix
 from ihomology.perversity import Perversity, clip, gm_lattice, top, zero
 from ihomology.rings import QQ, ZZ, Zmod
@@ -148,6 +148,34 @@ def test_rank_monotone_in_perversity(sigma_rp3):
 def test_ordinary_cohomology(sigma_rp3):
     for k, g in enumerate(["Z", "0", "0", "Z/2", "Z"]):
         assert str(cohomology(sigma_rp3, ZZ, k)) == g, k
+
+
+def negated_cochains(K, R):
+    """The cochains of K over R as a complex whose differential lowers
+    the degree: degree k at -k, with the transposed boundaries."""
+    top = K.top_dim()
+    return PresentedComplex(
+        R, {-k: len(K.simplices(k)) for k in range(top + 1)},
+        {1 - k: K.boundary_matrix(k, R).transpose()
+         for k in range(1, top + 1)})
+
+
+@pytest.mark.parametrize("R", [ZZ, QQ, Zmod(2), Zmod(4)], ids=str)
+@pytest.mark.parametrize("name", ["s4", "rp3", "sigma-rp3", "cone:rp3"])
+def test_cohomology_is_the_homology_at_negated_degrees(name, R):
+    # the step +1 groups of the cochain memo against the cochains
+    # presented at negated degrees, group by group from the top degree
+    # down: the same orders and the same cycle basis
+    K = builtin(name)
+    C = negated_cochains(K, R)
+    n = K.top_dim()
+    for k in range(n, -1, -1):
+        H, G = cohomology(K, R, k), C.homology(-k)
+        assert H.orders == G.orders, k
+        assert H.cycles == G.cycles, k
+        assert cohomology(K, R, k) is H
+    for k in (-2, -1, n + 1, n + 2):
+        assert cohomology(K, R, k).is_trivial()
 
 
 def test_gm_cohomology_degree3(sigma_rp3):
@@ -439,8 +467,8 @@ def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
     # whatever order the degrees come in, and for the perverse cycles on
     # every allowable set, with the chain groups built before some of
     # them and after the others, each memoised cycle basis is the kernel
-    # of the whole boundary; so is each cycle basis of the cochain
-    # complex, whose groups are asked for in ascending stored degree
+    # of the whole boundary; so is each cycle basis of the cochains,
+    # whose groups are asked for from the top degree down
     n = FRESH_SPACES[space]().top_dim()
     shuffled = list(range(n + 1))
     random.Random(61).shuffle(shuffled)
@@ -460,11 +488,10 @@ def test_pruned_cycle_bases_are_the_kernel_on_every_row(space, ring):
         assert len(keys) >= n + 1
         for key in keys:
             assert memo[key] == cycles_on_every_row(K, key, ring), key[:2]
-    C = cochain_complex(K, ring)
-    for d in range(-n, 1):
-        H = C.homology(d)
+    for d in range(n, -1, -1):
+        H = cohomology(K, ring, d)
         if H.cycles is not None:
-            assert H.cycles == kernel(C.boundary(d)), d
+            assert H.cycles == kernel(K.coboundary_matrix(d, ring)), d
 
 
 def test_cycles_are_eliminated_on_the_pivot_rows_below(monkeypatch, patch_snf,
@@ -584,12 +611,12 @@ def test_cochain_orders_need_only_the_invariant_factors(R, count_calls):
     # each of the four coboundaries is swept once, for the rank out of
     # one degree and the torsion of the next, and each group is made once
     calls = count_calls(["kernel", "hermite_solve", "invariant_factors"])
-    C = cochain_complex(fresh_sigma_rp3(), R)
-    orders = [C.homology(d).orders for d in range(-4, 1)]
+    K = fresh_sigma_rp3()
+    orders = [cohomology(K, R, d).orders for d in range(4, -1, -1)]
     assert orders == ([[0], [2], [], [], [0]] if R is ZZ
                       else [[0], [], [], [], [0]])
     assert calls == {"kernel": 0, "hermite_solve": 0, "invariant_factors": 4}
-    assert all(C.homology(d) is C.homology(d) for d in range(-4, 1))
+    assert all(cohomology(K, R, d) is cohomology(K, R, d) for d in range(5))
 
 
 @pytest.mark.slow
