@@ -9,7 +9,9 @@ statements those caps induce.
 Importing the package loads no layer: each name below, and each layer
 module as an attribute of the package, is looked up on first use (PEP
 562), so a job loads only the layers it runs.  Inside the package a
-module binds a layer only some of its callers need with _on_first_use.
+module binds a layer only some of its callers need with _on_first_use,
+and the standard fractions module, which only true rationals need, the
+same way.
 """
 
 import sys
@@ -40,11 +42,12 @@ _HOME = {name: module for module, names in _LAYERS.items() for name in names}
 __all__ = list(_HOME)
 
 
-def _on_first_use(name):
-    """The layer module name of this package, put in sys.modules now and
-    compiled and run on the first access to one of its attributes
-    (LazyLoader); a layer already imported comes back as it is."""
-    full = f"{__name__}.{name}"
+def _on_first_use(name, package=__name__):
+    """The module name of package (a top-level module when package is
+    None), put in sys.modules now and compiled and run on the first
+    access to one of its attributes (LazyLoader); a module already
+    imported comes back as it is."""
+    full = f"{package}.{name}" if package else name
     module = sys.modules.get(full)
     if module is None:
         spec = util.find_spec(full)

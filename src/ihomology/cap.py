@@ -38,8 +38,6 @@ classical duality and the zero-to-top comparison.  Only the first
 reads the blown-up complex, so blowup is bound on first use.
 """
 
-from fractions import Fraction
-
 from . import _on_first_use
 from .complexes import InducedMap, memo_key
 from .intersection import cohomology, comparison_map, perverse_complex
@@ -48,6 +46,7 @@ from .perversity import clip, top, zero
 from .rings import RationalField
 
 blowup = _on_first_use("blowup")
+fractions = _on_first_use("fractions", None)
 
 
 def duality_sign(k):
@@ -240,17 +239,31 @@ class Report:
         return "\n".join(self.lines)
 
 
+def _build_in_order(*runs):
+    """Build each run of groups, all of them made already, in its order.
+
+    A run lists the groups of one memo in the order that prunes them,
+    degrees counted along the differential: ascending for chains,
+    descending for cochains.  Each build then decides its cycle basis
+    on the pivot rows of the group built before it (complexes.
+    shared_cycles), and, as the next group is already made, leaves out
+    of its sweep the columns that group's cycles clear (complexes.
+    cleared_columns)."""
+    for run in runs:
+        for H in run:
+            H.build()
+
+
 def _build_ascending(space, ring):
-    """Build the space's cohomology and homology groups in ascending
-    stored degree, so that each cycle basis is decided on the pivot rows
-    of the group below (complexes.cycle_matrix), before any is read.
+    """Build the space's cohomology and homology groups in pruning order
+    (_build_in_order), before any is read.
 
     The drivers run this first: the fundamental class is the cycle
     basis of H_n, so built here it costs no elimination of its own, and
     built before it would be eliminated on every row of d_n."""
-    for k in range(space.n + 1):
-        cohomology(space, ring, space.n - k).build()
-        space.homology(k, ring).build()
+    n = space.n
+    _build_in_order([cohomology(space, ring, k) for k in range(n, -1, -1)],
+                    [space.homology(k, ring) for k in range(n + 1)])
 
 
 def verify_factorization(space, ring, perversities=None):
@@ -294,13 +307,15 @@ def verify_factorization(space, ring, perversities=None):
                 if isinstance(ring, RationalField):
                     # the witness shows Q entries as Fractions, integral
                     # ones too
-                    rhs = {i: Fraction(v) for i, v in rhs.items()}
+                    rhs = {i: fractions.Fraction(v) for i, v in rhs.items()}
                 lines.append(f"degree {k}: classes split, witness {rhs}")
     if ok:
         total = sum(len(v) for v in caps.values())
         lines.append(f"square commutes on {total} generators")
     for p in perversities:
         dm = duality_map(space, p, ring)
+        _build_in_order([dm.tw.homology(k) for k in range(n, -1, -1)],
+                        [dm.pc.homology(k) for k in range(n + 1)])
         iso = [dm.is_isomorphism(k) for k in range(n + 1)]
         contained = all(
             dm.pc.contains(n - k, Matrix.from_columns(
@@ -343,6 +358,11 @@ def check_zero_top(space, ring):
     classical_duality(space, ring)
     cap_iso = [classical_duality_induced(space, ring, k).is_isomorphism()
                for k in range(n + 1)]
+    # every perverse group is made before the comparisons build them in
+    # ascending degree, so each build is pruned and cleared
+    for p in (zero(n), top(n)):
+        for j in range(n + 1):
+            perverse_complex(space, p, ring).homology(j)
     beta_iso = [comparison_map(space, zero(n), top(n), ring,
                                j).is_isomorphism()
                 for j in range(n + 1)]

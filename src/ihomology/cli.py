@@ -9,7 +9,9 @@ a broken internal invariant.  The layers only some commands run are
 bound on first use, so a command compiles only the layers it runs.
 Each printed row (a table row, or all of a group list) has its groups
 made before any is read, so that their invariant-factor sweeps run
-from the top degree down (complexes.shared_group).
+from the top degree down, and, over a composite Z/m, where the groups
+are built in ascending degree, each build is pruned and cleared by its
+neighbours (complexes.shared_group).
 """
 
 import argparse

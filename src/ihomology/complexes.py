@@ -40,7 +40,12 @@ elements of degree k a (co)chain may use.  The keys (memo_key) are
   ("basis", k, cols, good), which is D[:, cols] when good holds every
   row, so one boundary matrix, swept once, gives the rank out of one
   degree and the torsion of the next; beside them, the rows where its
-  sweep put unit pivots, which clear the sweep of the next matrix.
+  sweep put unit pivots, which clear the sweep of the next matrix;
+- ("pivots", k, cols, None): pivot_rows of the cycle basis, found once
+  for the solve, the clearing and every coords call;
+- ("solved", k, allowable(k), allowable(k - step)): the pivot rows of
+  the group's cycle basis, put once its solve has succeeded;
+- ("differential", k): D, for the builds of the neighbouring degrees.
 
 An empty set is None, and a set that allows all n elements is range(n),
 so a key holds no tuple of everything and a full perverse set gives the
@@ -62,18 +67,39 @@ reading any (cli) gets every sweep cleared by the one before it, as
 cochains read upward already do.
 
 A cycle basis is eliminated only on the rows that can be independent
-(cycle_matrix).  The group of degree k + step that allows everything
-in degrees k + step and k has all of D as its boundaries; once it is
-built, its solve has proved each column of D in the span of its cycle
-basis Z.  A nonzero vector of that span has its first nonzero entry on
-a pivot row of Z: the vectors of the span that vanish above a row are
-spanned by the columns pivoting at or below it (over a composite Z/m
-by the Howell property), and those pivoting below it vanish on it.  So
-D x = 0 exactly when D x vanishes on the pivot rows, over every ring,
-and every cycle basis of degree k, on any allowable columns, is the
-kernel of D on those rows alone: the same module, so the same
-canonical basis.  Groups built target first get this for free; no
-degree is built only to prune another.
+(shared_cycles).  The group of degree k + step with the same allowable
+sets has as boundaries D P, for P the basis of the chains on
+allowable(k) whose image lies on allowable(k + step); once its solve
+has succeeded, it has proved each column of D P in the span of its
+cycle basis Z.  A nonzero vector of that span has its first nonzero
+entry on a pivot row of Z: the vectors of the span that vanish above a
+row are spanned by the columns pivoting at or below it (over a
+composite Z/m by the Howell property), and those pivoting below it
+vanish on it.  A chain x on allowable(k) with D x zero off
+allowable(k + step) is a combination of P's columns, so D x = 0
+exactly when D x also vanishes on the pivot rows, over every ring, and
+the cycle basis of degree k is the kernel of D on those rows and the
+rows off allowable(k + step) alone: the same module, so the same
+canonical basis.  The group's solve need not have swept or built
+anything for this.
+
+A group build clears its sweep the same way (cleared_columns; Bauer,
+Kerber & Reininghaus 2014).  Its boundaries are D_t P_t, for the
+differential D_t out of degree t = k - step and the basis P_t of that
+degree.  When the memo holds the group of degree t, the build, once
+its own solve has pruned the cycles of degree t, reads their basis
+Z_t.  Say a column z of Z_t has a unit pivot on the pivot row of the
+column P_j of P_t.  Forward substitution gives z = u P_j + sum_{j' >
+j} x_j' P_j', where u times P_j's pivot is z's, so u is a unit, and
+D_t z = 0: the boundary column j is a combination of later ones, and
+the sweep, which takes the columns last to first, leaves it out.  The
+span is the same, so the group is; its generators and coordinates
+also come out as a sweep of every column gives them, which the tests
+check on every memo kind, since over Z a left-out column could in
+principle have met a unit through the set-aside vectors.  A driver
+that makes every group of a memo before it builds any, and builds
+them in pruning order (cap), gets every group pruned and cleared; a
+degree whose neighbour groups are never made is built as it stands.
 """
 
 from .matrices import Matrix
@@ -195,7 +221,7 @@ class HomologyGroup:
         return f"<HomologyGroup {self} over {self.ring.name}>"
 
 
-def group_from_cycles(ring, Zb, B):
+def group_from_cycles(ring, Zb, B, pivot_row=None, solved=None):
     """Homology of span(Zb columns) / span(B columns), for B inside
     span(Zb).
 
@@ -203,7 +229,12 @@ def group_from_cycles(ring, Zb, B):
     (from kernel(), or the cycles on the allowable elements of a
     perverse complex), so hermite_solve gives boundaries and cycles
     their cycle coordinates, Y and w, and rejects a boundary outside
-    the span.  Over a composite Z/m the relations kernel(Zb) join Y.
+    the span; pivot_row, when given, is pivot_rows(Zb), which the solve
+    and every coords call read.  Over a composite Z/m the relations
+    kernel(Zb) join Y.  solved, when given, is called once the solve
+    has put every column of B in the span, and returns the columns of B
+    the sweep leaves out: each must be a combination of later columns
+    (cleared_columns), so the span, and the group, is the same.
 
     unit_pivots sweeps Y mirrored: its columns last to first, each
     reduced at its first row, which keeps the last generators free and
@@ -215,9 +246,14 @@ def group_from_cycles(ring, Zb, B):
     P_r) on the free rows, and the generators are Zb times the columns
     of S.Uinv put on the free rows.
     """
-    Y = hermite_solve(Zb, B)
+    if pivot_row is None:
+        pivot_row = pivot_rows(Zb)
+    Y = hermite_solve(Zb, B, pivot_row)
     if Y is None:
         raise ValueError("boundary columns do not lie in the cycle span")
+    # B is not read again: let it go before solved() runs a kernel
+    del B
+    skip = solved() if solved else ()
     z = Zb.ncols
     if z == 0:
         return HomologyGroup.trivial(ring)
@@ -227,7 +263,8 @@ def group_from_cycles(ring, Zb, B):
     # row r of Y is index z - 1 - r of the swept vectors
     Yc = Y.columns()
     pivots, aside = unit_pivots(ring, (
-        {z - 1 - r: e for r, e in Yc[j].items()} for j in sorted(Yc, reverse=True)))
+        {z - 1 - r: e for r, e in Yc[j].items()}
+        for j in sorted(Yc, reverse=True) if j not in skip))
     gens = [r for r in range(z) if z - 1 - r not in pivots]
     at = {z - 1 - r: k for k, r in enumerate(gens)}
     S = smith_normal_form(Matrix.from_columns(ring, len(gens), [
@@ -249,7 +286,7 @@ def group_from_cycles(ring, Zb, B):
         reps.append(Zb @ {gens[k]: e for k, e in Uinv.get(i, {}).items()})
 
     def coord_fn(v):
-        w = hermite_solve_vector(Zb, v)
+        w = hermite_solve_vector(Zb, v, pivot_row)
         if w is None:
             raise ValueError("not a cycle")
         t = S.U @ (T @ w)
@@ -257,22 +294,6 @@ def group_from_cycles(ring, Zb, B):
                      for i, d in zip(keep, orders))
 
     return HomologyGroup(ring, orders, reps, coord_fn, Zb)
-
-
-def cycle_matrix(D, below=None):
-    """A matrix with the kernel of the differential D, for kernel().
-
-    When below is the group one degree down, built with the columns of
-    D as its boundaries, this is D on the pivot rows of below's cycle
-    basis, with the other rows zero (see the module docstring); it
-    shares D's rows, which kernel() copies as it reads them.  Otherwise,
-    and while below is not built, it is D: pruning builds nothing.
-    """
-    if below is None or not below.built or below.cycles is None:
-        return D
-    return Matrix(D.ring, D.nrows, D.ncols,
-                  {i: D.rows[i] for i in pivot_rows(below.cycles).values()
-                   if i in D.rows})
 
 
 def perverse_basis(ring, D, nk, cols, bad):
@@ -333,6 +354,16 @@ def shared_basis(memo, key, D):
     return B
 
 
+def shared_pivots(memo, key):
+    """pivot_rows of the basis under key in memo, found once and kept
+    under ("pivots",) + key[1:]."""
+    pkey = ("pivots",) + key[1:]
+    found = memo.get(pkey)
+    if found is None:
+        found = memo[pkey] = pivot_rows(memo[key])
+    return found
+
+
 def shared_factors(memo, key, matrix, skip=()):
     """The entry under key = ("factors", k, cols, good) in memo: the
     invariant factors of the matrix matrix() returns, swept on its
@@ -347,13 +378,68 @@ def shared_factors(memo, key, matrix, skip=()):
     return f
 
 
+def shared_cycles(memo, k, allowable, step):
+    """The cycle basis of degree k in memo, under ("basis", k,
+    allowable(k), None): the chains on allowable(k) that D =
+    memo["differential", k] sends to zero.  Once the group of degree
+    k + step with the same allowable sets has solved its boundaries,
+    kernel() gets D only on the pivot rows of that group's cycle basis
+    and on the rows off its allowable set (see the module docstring), in
+    a matrix that shares D's rows, which kernel() copies as it reads
+    them."""
+    key = ("basis", k, _index_set(allowable(k)), None)
+    Z = memo.get(key)
+    if Z is None:
+        D = memo["differential", k]
+        below = memo_key("solved", k + step, allowable, k)
+        pivot_row = memo.get(below)
+        if pivot_row is not None:
+            rows = set(pivot_row)
+            good = below[2] if isinstance(below[2], range) else set(below[2])
+            D = Matrix(D.ring, D.nrows, D.ncols,
+                       {i: r for i, r in D.rows.items()
+                        if i in rows or i not in good})
+        Z = shared_basis(memo, key, D)
+    return Z
+
+
+def cleared_columns(memo, key, allowable, step):
+    """The columns of the boundaries of the group under key that its
+    sweep may leave out, as the module docstring clears them: nothing
+    unless memo holds the group of degree t = k - step, whose cycle
+    basis Z this reads.  Column j is left out when a column of Z has a
+    unit pivot on the pivot row of the column P_j of the basis of degree
+    t, P (D_t times it is the boundaries).  P is the identity when the
+    group allows everything in degrees k and t: its boundaries are D_t
+    itself."""
+    _, k, cols, above = key
+    t = k - step
+    if above is None or memo_key("group", t, allowable, t - step) not in memo:
+        return ()
+    Z = shared_cycles(memo, t, allowable, step)
+    ring = Z.ring
+    pivots = shared_pivots(memo, ("basis", t, above, None))
+    units = {r for c, r in enumerate(pivots) if ring.is_unit(Z.rows[r][c])}
+    P = memo.get(("basis", t, above, cols or None))
+    if P is None:
+        D = memo["differential", t]
+        everything = above == range(D.ncols) and cols == range(D.nrows)
+        return units if everything else ()
+    return {j for j, r in enumerate(pivot_rows(P)) if r in units}
+
+
 def shared_group(memo, k, allowable, step, D, boundaries):
     """The degree-k group in memo, of a complex with differential D out
     of degree k and degree k - step mapping in: the cycles on
     allowable(k) modulo the columns boundaries() returns, built on
-    first use by group_from_cycles.  The cycles are the kernel of
-    cycle_matrix(D, below), where below is the group of degree k + step
-    that allows everything, if that is in memo and built.
+    first use by group_from_cycles from shared_cycles.  The boundaries
+    must be D_t @ P, with D_t the differential out of degree t = k -
+    step and P the basis under memo_key("basis", t, allowable, k), or
+    D_t itself when that allows everything; D is kept under
+    ("differential", k).  Once its solve has succeeded, the build puts
+    the pivot rows of its cycle basis under ("solved", k, allowable(k),
+    allowable(t)), which prunes the cycles of degree t, and its sweep
+    leaves out the cleared_columns.
 
     Over Z and fields the orders come first from the rule of the module
     docstring.  Those cycles are a direct summand of the chains (a chain
@@ -367,11 +453,17 @@ def shared_group(memo, k, allowable, step, D, boundaries):
     H = memo.get(key)
     if H is None:
         ring, cols, rows = D.ring, key[2], range(D.nrows)
+        memo["differential", k] = D
+        cycles = ("basis", k, cols, None)
 
-        def cycles():
-            below = memo.get(("group", k + step, rows, range(D.ncols) or None))
-            return shared_basis(memo, ("basis", k, cols, None),
-                                cycle_matrix(D, below))
+        def solved():
+            memo[("solved",) + key[1:]] = shared_pivots(memo, cycles)
+            return cleared_columns(memo, key, allowable, step)
+
+        def build():
+            Zb = shared_cycles(memo, k, allowable, step)
+            return group_from_cycles(ring, Zb, boundaries(),
+                                     shared_pivots(memo, cycles), solved)
 
         def rule():
             above = memo.get(memo_key("group", k - step, allowable,
@@ -395,8 +487,7 @@ def shared_group(memo, k, allowable, step, D, boundaries):
             return ([d for d in f if not ring.is_unit(d)]
                     + [0] * (len(cols) - len(out) - len(f)))
         H = memo[key] = HomologyGroup.lazy(
-            ring, lambda: group_from_cycles(ring, cycles(), boundaries()),
-            None if ring.free_order else rule)
+            ring, build, None if ring.free_order else rule)
     return H
 
 

@@ -15,11 +15,15 @@ The sparse inner loops go through two fused kernels per ring, axpy
 and row_product, which run on native operators instead of one ring
 call per entry: over Z on + and * alone, over Z/m with one % m per
 entry, and over Q on ints until a Fraction appears, which is then put
-in canonical form.
+in canonical form.  The fractions module is loaded on the first
+Fraction made, so a job over Z or Z/m never loads it.
 """
 
-from fractions import Fraction
 from math import gcd
+
+from . import _on_first_use
+
+fractions = _on_first_use("fractions", None)
 
 
 def xgcd(a, b):
@@ -128,10 +132,9 @@ class IntegerRing(Ring):
     one = 1
 
     def el(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            return x.numerator
+        # an int has denominator 1 too, so no Fraction class is needed
+        if x.denominator != 1:
+            raise ValueError(f"{x} is not an integer")
         return int(x)
 
     def add(self, a, b):
@@ -206,7 +209,7 @@ class RationalField(Ring):
     one = 1
 
     def el(self, x):
-        return x if x.__class__ is int else _canonical(Fraction(x))
+        return x if x.__class__ is int else _canonical(fractions.Fraction(x))
 
     def add(self, a, b):
         c = a + b
@@ -238,8 +241,8 @@ class RationalField(Ring):
     def div(self, b, a):
         if a.__class__ is int and b.__class__ is int:
             q, r = divmod(b, a)
-            return Fraction(b, a) if r else q
-        return _canonical(Fraction(b) / a)
+            return fractions.Fraction(b, a) if r else q
+        return _canonical(fractions.Fraction(b) / a)
 
     def bezout(self, a, b):
         if a != 0:
@@ -296,11 +299,11 @@ class ZmodRing(Ring):
         self.one = 1 % m
 
     def el(self, x):
-        if isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
+        den = x.denominator
+        if den != 1:
             if gcd(den, self.m) != 1:
                 raise ZeroDivisionError(f"denominator {den} not invertible mod {self.m}")
-            return num * pow(den, -1, self.m) % self.m
+            return x.numerator * pow(den, -1, self.m) % self.m
         return int(x) % self.m
 
     def add(self, a, b):

@@ -503,18 +503,20 @@ def kernel(M):
 
 def pivot_rows(B):
     """The pivot row of each column of B, a basis from
-    hermite_column_form: the first row whose last entry is in that
-    column, since the column starts there and the later columns vanish
-    there."""
-    piv = {}
-    for r in sorted(B.rows):
-        piv.setdefault(max(B.rows[r]), r)
+    hermite_column_form, as a list indexed by column: the first row
+    whose last entry is in that column, since the column starts there
+    and the later columns vanish there."""
+    piv = [None] * B.ncols
+    for r in sorted(B.rows, reverse=True):
+        piv[max(B.rows[r])] = r
     return piv
 
 
-def hermite_solve(B, C):
+def hermite_solve(B, C, pivot_row=None):
     """Solve B X == C for B from hermite_column_form; None if some column
-    of C lies outside the span of B's columns.
+    of C lies outside the span of B's columns.  pivot_row, when given,
+    is pivot_rows(B), which a caller solving many times in one basis
+    finds once.
 
     Forward substitution on B's pivot rows in ascending order, one row
     of X at a time, over any ring and with no transforms.  Column j of B
@@ -531,7 +533,8 @@ def hermite_solve(B, C):
     the substitution finds every solvable column.
     """
     R = B.ring
-    pivot_row = pivot_rows(B)
+    if pivot_row is None:
+        pivot_row = pivot_rows(B)
     X = {}
     for j in range(B.ncols):
         r = pivot_row[j]
@@ -548,7 +551,7 @@ def hermite_solve(B, C):
         if x:
             X[j] = x
     X = Matrix(R, B.ncols, C.ncols, X)
-    done = set(pivot_row.values())
+    done = set(pivot_row)
     rest = Matrix(R, B.nrows, B.ncols,
                   {r: row for r, row in B.rows.items() if r not in done})
     if (rest @ X).rows != {r: row for r, row in C.rows.items()
@@ -557,8 +560,8 @@ def hermite_solve(B, C):
     return X
 
 
-def hermite_solve_vector(B, c):
+def hermite_solve_vector(B, c, pivot_row=None):
     """hermite_solve for one vector c, a sparse dict; returns the sparse
     x with B x == c, or None if c lies outside the span of B."""
-    X = hermite_solve(B, Matrix.from_columns(B.ring, B.nrows, [c]))
+    X = hermite_solve(B, Matrix.from_columns(B.ring, B.nrows, [c]), pivot_row)
     return None if X is None else X.column(0)

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from ihomology import cli, complexes, filtered, snf
+from ihomology.blowup import tw_cohomology
+from ihomology.intersection import cohomology, intersection_homology
 from ihomology.matrices import Matrix
-from ihomology.rings import ZZ, QQ, Zmod, ZmodRing
+from ihomology.perversity import clip, top, zero
+from ihomology.rings import ZZ, QQ, Zmod, ZmodRing, ring_by_name
 from ihomology.complexes import (ChainMap, HomologyGroup, PresentedComplex,
                                  group_from_cycles, homology_of)
 from ihomology.snf import (hermite_solve, hermite_solve_vector, kernel,
@@ -283,13 +286,19 @@ def check_against_smith_reference(rng, Zb, B, H):
 
 
 def record_groups(monkeypatch):
-    """Record (Zb, B, group) for every group_from_cycles call."""
+    """Record (Zb, B, group, left) for every group_from_cycles call with
+    cycles, left the set of columns of B its sweep left out."""
     seen = []
 
-    def recording(ring, Zb, B):
-        H = group_from_cycles(ring, Zb, B)
+    def recording(ring, Zb, B, pivot_row=None, solved=None):
+        left = set()
+
+        def spying():
+            left.update(solved() if solved else ())
+            return left
+        H = group_from_cycles(ring, Zb, B, pivot_row, spying)
         if Zb.ncols:
-            seen.append((Zb, B, H))
+            seen.append((Zb, B, H, left))
         return H
     monkeypatch.setattr(complexes, "group_from_cycles", recording)
     return seen
@@ -318,8 +327,84 @@ def test_groups_match_the_smith_form_of_all_of_y(space, coeffs, monkeypatch,
     capsys.readouterr()
     assert seen
     rng = random.Random(61)
-    for Zb, B, H in seen:
+    for Zb, B, H, _ in seen:
         check_against_smith_reference(rng, Zb, B, H)
+
+
+def check_against_the_full_sweep(rng, Zb, B, H):
+    """H has the orders, generators and coordinates of the group that
+    group_from_cycles builds from Zb and B sweeping every column."""
+    R = Zb.ring
+    ref = group_from_cycles(R, Zb, B)
+    assert H.orders == ref.orders
+    assert H.reps == ref.reps
+    Bc = B.columns()
+    vectors = [Bc[j] for j in rng.sample(sorted(Bc), min(3, len(Bc)))]
+    for _ in range(5):
+        vectors.append(Zb @ {j: R.el(rng.randrange(-3, 4)) for j in
+                             rng.sample(range(Zb.ncols), min(3, Zb.ncols))})
+    for v in vectors:
+        assert H.coords(v) == ref.coords(v)
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Q", "Zmod:3", "Zmod:4"])
+@pytest.mark.parametrize("space", ["s4", "rp3", "sigma-rp3", "cone:rp3"])
+def test_cleared_groups_equal_the_groups_that_sweep_every_column(
+        space, coeffs, monkeypatch):
+    # every group of a memo made, then built in pruning order, so that
+    # each build whose next degree has a group leaves columns out of its
+    # sweep: the simplicial cochains and chains, and at zero, clip:1 and
+    # top the perverse chains and the blown-up cochains (which need Z or
+    # a field).  Over Z a column left out could in principle have become
+    # a unit pivot through set-aside vectors; the orders, the generators
+    # and the coordinates of boundaries and of seeded random cycles must
+    # all be those of the build that sweeps every column
+    R = ring_by_name(coeffs)
+    monkeypatch.setattr(filtered, "_builtin_cache", {})
+    X = filtered.builtin(space)
+    n = X.n
+    runs = {"cochains": [cohomology(X, R, k) for k in range(n, -1, -1)],
+            "chains": [X.homology(k, R) for k in range(n + 1)]}
+    for p in (zero(n), clip(1, n), top(n)):
+        runs[f"{p} chains"] = [intersection_homology(X, p, R, k)
+                               for k in range(n + 1)]
+        if not R.free_order:
+            runs[f"{p} blown-up"] = [tw_cohomology(X, p, R, k)
+                                     for k in range(n, -1, -1)]
+    seen = record_groups(monkeypatch)
+    rng = random.Random(29)
+    left = {}
+    for name, run in runs.items():
+        seen.clear()
+        for H in run:
+            H.build()
+        left[name] = sum(len(cleared) for *_, cleared in seen)
+        for Zb, B, H, _ in seen:
+            check_against_the_full_sweep(rng, Zb, B, H)
+    # the perverse groups of s4 and rp3, a single stratum, are all
+    # simplicial ones, built already
+    assert left["cochains"] and left["chains"]
+    assert R.free_order or left["zero blown-up"]
+    if space in ("sigma-rp3", "cone:rp3"):
+        assert all(left.values()), left
+
+
+def test_a_lone_degree_sweeps_every_column(monkeypatch, capsys):
+    # one degree asked for makes one group and no neighbour, so its build
+    # leaves no column out: the same degree of the whole list leaves 383
+    # of its 960 boundary columns out
+    seen = record_groups(monkeypatch)
+    for argv, out in ((["--degree", "2"], "Z/2\n"),
+                      ([], "0: (Z/4)\n1: 0\n2: Z/2\n3: Z/2\n4: (Z/4)\n")):
+        monkeypatch.setattr(filtered, "_builtin_cache", {})
+        seen.clear()
+        assert cli.main(["homology", "--builtin", "sigma-rp3", "--coeffs",
+                         "Zmod:4", *argv]) == 0
+        assert capsys.readouterr().out == out
+        [(B, cleared)] = [(B, cleared) for Zb, B, H, cleared in seen
+                          if B.nrows == 848]
+        assert B.ncols == 960
+        assert len(cleared) == (383 if not argv else 0)
 
 
 RULE_COMMANDS = [["homology"], ["table"],
@@ -536,7 +621,11 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
     # swept on the rows, at more than twice the time).  Cleared by the
     # 383 unit pivots of the sweep of the degree-4 boundary, that sweep
     # leaves 1 aside; homology_of sweeps the degree-3 boundary in full
-    # as the boundaries of degree 2, with nothing above to clear it
+    # as the boundaries of degree 2, with nothing above to clear it.
+    # Groups built with the next degree's group made skip the columns
+    # its cycles clear, which took the largest residual from 2 x 20 to
+    # 2 x 3 over Z/4 and Z/6, and from 1 x 16 to 1 x 2 for verify
+    # factorization
     shapes = []
 
     def recording(M, transforms=True):
@@ -550,9 +639,9 @@ def test_only_residuals_reach_the_eliminator(monkeypatch, capsys):
         return max(shapes, key=lambda s: (s[0] * s[1], s))
     for cmd, want in [
             (["homology"], (1, 848)),
-            (["homology", "--coeffs", "Zmod:4"], (2, 20)),
-            (["table", "--coeffs", "Zmod:6"], (2, 20)),
-            (["verify", "factorization"], (1, 16)),
+            (["homology", "--coeffs", "Zmod:4"], (2, 3)),
+            (["table", "--coeffs", "Zmod:6"], (2, 3)),
+            (["verify", "factorization"], (1, 2)),
             (["verify", "zero-top", "--coeffs", "Q"], (1, 0))]:
         monkeypatch.setattr(filtered, "_builtin_cache", {})
         shapes.clear()
@@ -577,7 +666,10 @@ def test_sweep_row_operations_on_the_60k_model(monkeypatch, capsys):
     # only the fill-in and with it the time, so the number of row
     # operations (_axpy calls) it makes over every group of verify
     # zero-top on the 60k model is pinned; kernel's own sweeps, which
-    # do not go through complexes, are not counted
+    # do not go through complexes, are not counted.  Every group of that
+    # command is built with its next degree's group made, so each sweep
+    # leaves out the columns that group's cycles clear: 1036007 row
+    # operations before, when every column was swept
     count = [0]
     inside = [False]
     real_axpy, real_sweep = snf._axpy, complexes.unit_pivots
@@ -598,4 +690,4 @@ def test_sweep_row_operations_on_the_60k_model(monkeypatch, capsys):
     assert cli.main(["verify", "zero-top", "--builtin", "susp:rp3-fine"]) == 1
     assert capsys.readouterr().out == (
         "FAIL: (i) fails, (ii) fails, equivalence OK\n")
-    assert count[0] == 1036007
+    assert count[0] == 67872

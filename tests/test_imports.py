@@ -324,6 +324,27 @@ print()
 print(json.dumps([status, {LOADED}]))
 """
 
+FRACTIONS = """
+import json, sys, types
+from ihomology.cli import main
+status = main(sys.argv[1:])
+print()
+ran = type(sys.modules.get("fractions")) is types.ModuleType
+print(json.dumps([status, ran, "decimal" in sys.modules]))
+"""
+
+
+def test_only_true_rationals_load_fractions():
+    # rings and cap bind fractions on first use, and the integral rings
+    # tell a Fraction by its denominator, so a job over Z never runs the
+    # module, nor imports decimal, which it pulls in; a job over Q that
+    # meets a true fraction runs both
+    assert fresh(FRACTIONS, "verify", "factorization",
+                 "--builtin", "rp3") == [0, False, False]
+    assert fresh(FRACTIONS, "verify", "zero-top", "--builtin", "rp3",
+                 "--coeffs", "Q") == [0, True, True]
+
+
 DUALITY_LAYERS = ["ihomology.blowup", "ihomology.cap", "ihomology.perversity"]
 
 
